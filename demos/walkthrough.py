@@ -46,12 +46,12 @@ dg = load("r6")
 print("\n== %s ==" % dg.name)
 print("nice?", is_nice(dg))
 res = make_nice(dg)
-fin = build_diagram(res.region_list)
+fin = res.diagram
 print("%d finger moves: %d points/%d regions -> %d points/%d regions"
       % (len(res.moves), dg.num_points, dg.num_regions,
          fin.num_points, fin.num_regions))
 
-nc = NiceComplex(fin)
+nc = NiceComplex(DomainCalculator(fin))
 for ci in range(len(nc.table.classes)):
     hr = nc.compute_homology(ci)
     print("spin-c class %d: rank %d, by grading %s"

@@ -31,12 +31,12 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .diagram import (
     ContactConventionError,
     DiagramError,
-    build_diagram,
     diagram_from_json,
     region_list_to_json,
 )
@@ -71,6 +71,25 @@ class RunConfig:
     move_cap: int
     fmt: str
     dot: bool
+
+
+class _Engines:
+    """The engines of one diagram, each built on first use and then shared.
+
+    analyze and general plots read the calculator; homology, contact,
+    order and nice plots share one NiceComplex built on that calculator.
+    """
+
+    def __init__(self, dg):
+        self.dg = dg
+
+    @cached_property
+    def calc(self):
+        return DomainCalculator(self.dg)
+
+    @cached_property
+    def complex(self):
+        return NiceComplex(self.calc)
 
 
 class _Out:
@@ -111,11 +130,6 @@ def _size_hist(dg):
     return [[s, c[s]] for s in sorted(c)]
 
 
-def _plot_source(dg):
-    # nice diagrams always plot through the counting engine
-    return NiceComplex(dg) if is_nice(dg) else DomainCalculator(dg)
-
-
 def _diff_lines(calc, diffs):
     lines = []
     for (i, j) in sorted(diffs):
@@ -135,8 +149,10 @@ def _entry_lines(entries):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _emit_dots(dg, ks, base, out):
-    src = _plot_source(dg)
+def _emit_dots(eng, ks, out):
+    # nice diagrams always plot through the counting engine
+    src = eng.complex if is_nice(eng.dg) else eng.calc
+    base = _safe_name(eng.dg.name)
     for k in ks:
         out.write(base + "_spinc_%d.dot" % k, plot_complex(src, k))
 
@@ -145,8 +161,8 @@ def _emit_dots(dg, ks, base, out):
 # operations
 
 
-def cmd_analyze(cfg, dg, out):
-    calc = DomainCalculator(dg)
+def cmd_analyze(cfg, eng, out):
+    dg, calc = eng.dg, eng.calc
     table = calc.spinc_partition()
     diffs = calc.index1_differentials()
     doc = {
@@ -173,14 +189,14 @@ def cmd_analyze(cfg, dg, out):
     if cfg.spinc is not None:
         out.write(base + "_differentials_in_spinc_%d.txt" % k, sub_lines)
     if cfg.dot:
-        _emit_dots(dg, range(len(table.classes)), base, out)
+        _emit_dots(eng, range(len(table.classes)), out)
     return doc
 
 
 def _makenice_core(cfg, dg, out):
     before = _size_hist(dg)
     res = make_nice(dg, move_cap=cfg.move_cap)
-    fin = build_diagram(res.region_list)
+    fin = res.diagram
     base = _safe_name(dg.name)
     move_lines = "".join(
         "move %d: region=%d entry_arc=(%d,%d) crossings=%d points_after=%d\n"
@@ -188,7 +204,8 @@ def _makenice_core(cfg, dg, out):
            m.points_after)
         for n, m in enumerate(res.moves)
     )
-    out.write(base + "_nice.json", region_list_to_json(res.region_list) + "\n")
+    out.write(base + "_nice.json",
+              region_list_to_json(fin.to_region_list()) + "\n")
     out.write(base + "_makenice_log.txt", move_lines)
     doc = {
         "name": dg.name,
@@ -201,13 +218,13 @@ def _makenice_core(cfg, dg, out):
     return doc, fin
 
 
-def cmd_makenice(cfg, dg, out):
-    doc, _ = _makenice_core(cfg, dg, out)
+def cmd_makenice(cfg, eng, out):
+    doc, _ = _makenice_core(cfg, eng.dg, out)
     return doc
 
 
-def cmd_homology(cfg, dg, out):
-    nc = NiceComplex(dg)
+def cmd_homology(cfg, eng, out):
+    nc = eng.complex
     if cfg.spinc is not None:
         ks = [_check_spinc(cfg.spinc, nc.table)]
     else:
@@ -226,20 +243,20 @@ def cmd_homology(cfg, dg, out):
             "total": hr.total,
         })
         total += hr.total
-    doc = {"name": dg.name, "classes": classes, "total_rank": total}
-    base = _safe_name(dg.name)
+    doc = {"name": eng.dg.name, "classes": classes, "total_rank": total}
+    base = _safe_name(eng.dg.name)
     out.write(base + "_homology.json", _dumps(doc))
     if cfg.spinc is not None:
         sd = nc.build_boundary(ks[0])
         out.write(base + "_differentials_in_spinc_%d.txt" % ks[0],
                   _entry_lines(sd.entries))
     if cfg.dot:
-        _emit_dots(dg, ks, base, out)
+        _emit_dots(eng, ks, out)
     return doc
 
 
-def cmd_contact(cfg, dg, out):
-    nc = NiceComplex(dg)
+def cmd_contact(cfg, eng, out):
+    dg, nc = eng.dg, eng.complex
     val = nc.check_contact_class()
     xc = dg.contact_generator()
     doc = {
@@ -252,8 +269,8 @@ def cmd_contact(cfg, dg, out):
     return doc
 
 
-def cmd_order(cfg, dg, out):
-    nc = NiceComplex(dg)
+def cmd_order(cfg, eng, out):
+    dg, nc = eng.dg, eng.complex
     val = nc.check_contact_class()
     res = nc.compute_order()
     doc = {"name": dg.name, "contact_class": val}
@@ -262,27 +279,24 @@ def cmd_order(cfg, dg, out):
     return doc
 
 
-def cmd_plot(cfg, dg, out):
-    src = _plot_source(dg)
-    table = src.table if isinstance(src, NiceComplex) else src.spinc_partition()
+def cmd_plot(cfg, eng, out):
+    table = eng.calc.spinc_partition()
     if cfg.spinc is not None:
         ks = [_check_spinc(cfg.spinc, table)]
     else:
         ks = list(range(len(table.classes)))
-    base = _safe_name(dg.name)
-    for k in ks:
-        out.write(base + "_spinc_%d.dot" % k, plot_complex(src, k))
-    return {"name": dg.name, "classes": ks}
+    _emit_dots(eng, ks, out)
+    return {"name": eng.dg.name, "classes": ks}
 
 
-def cmd_all(cfg, dg, out):
-    parts = {"analyze": cmd_analyze(cfg, dg, out)}
-    fin = dg
-    if not is_nice(dg):
-        parts["makenice"], fin = _makenice_core(cfg, dg, out)
-    parts["homology"] = cmd_homology(cfg, fin, out)
-    parts["contact"] = cmd_contact(cfg, fin, out)
-    parts["order"] = cmd_order(cfg, fin, out)
+def cmd_all(cfg, eng, out):
+    parts = {"analyze": cmd_analyze(cfg, eng, out)}
+    if not is_nice(eng.dg):
+        parts["makenice"], fin = _makenice_core(cfg, eng.dg, out)
+        eng = _Engines(fin)
+    parts["homology"] = cmd_homology(cfg, eng, out)
+    parts["contact"] = cmd_contact(cfg, eng, out)
+    parts["order"] = cmd_order(cfg, eng, out)
     return parts
 
 
@@ -397,7 +411,7 @@ def main(argv=None):
     _setup_logging()
     try:
         text = cfg.input.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print("error: cannot read %s: %s" % (cfg.input, e), file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
@@ -407,7 +421,7 @@ def main(argv=None):
         return EXIT_BAD_INPUT
     out = _Out(cfg.out_dir)
     try:
-        doc = _DISPATCH[cfg.command](cfg, dg, out)
+        doc = _DISPATCH[cfg.command](cfg, _Engines(dg), out)
     except CliError as e:
         print("error: %s" % e, file=sys.stderr)
         return e.code

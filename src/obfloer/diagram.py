@@ -152,7 +152,7 @@ def parse_region_list(text, name=None, num_pointed=None):
         raise RegionListError("input is neither an object nor a region list")
     if np_ is None:
         raise RegionListError("num_pointed missing (not in input, not supplied)")
-    return make_region_list(regions, int(np_), nm if nm is not None else "diagram")
+    return make_region_list(regions, np_, nm if nm is not None else "diagram")
 
 
 def region_list_to_json(rl, indent=2):
@@ -431,15 +431,6 @@ class HeegaardDiagram:
     def is_pointed(self, r):
         return r >= self.num_unpointed
 
-    def region_circuits(self, r):
-        return self.regions[r]
-
-    def alpha_arcs_of_region(self, r):
-        return [a for cir in self.regions[r] for a in circuit_alpha_arcs(cir)]
-
-    def beta_arcs_of_region(self, r):
-        return [a for cir in self.regions[r] for a in circuit_beta_arcs(cir)]
-
     def corner_occurrences(self, p):
         """All (region, circuit, position) corner occurrences of point p."""
         out = []
@@ -449,13 +440,6 @@ class HeegaardDiagram:
                     if c == p:
                         out.append((r, ci, i))
         return out
-
-    def intersection_matrix(self):
-        n = self.num_curves
-        mat = [[0] * n for _ in range(n)]
-        for p in range(self.num_points):
-            mat[self.alpha_of[p]][self.beta_of[p]] += 1
-        return mat
 
     def to_region_list(self):
         return RegionList(
@@ -531,9 +515,6 @@ class Generator:
                 seen.add(j)
                 j = self.permutation[j]
         return out
-
-    def point_set(self):
-        return frozenset(self.points)
 
     def __str__(self):
         return "{" + ",".join(str(p) for p in self.points) + "}"

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .diagram import Generator, circuit_alpha_arcs, circuit_beta_arcs
+from .diagram import Generator
 from .linalg import IntSolver, UnboundedPolytopeError, cone_is_trivial, lattice_points
 
 
@@ -178,10 +178,6 @@ class DomainCalculator:
 
     def periodic_domain_basis(self):
         return self._periodic
-
-    def full_periodic_kernel(self):
-        """Kernel basis of the boundary matrix over all regions."""
-        return [list(v) for v in self._full_kernel]
 
     def check_weak_admissibility(self):
         """True iff no nonzero combination of periodic domains is >= 0."""
@@ -608,9 +604,3 @@ class DomainCalculator:
                         out[(i, j)] = doms
         self._index1 = out
         return self._index1
-
-    def find_pos_diffs_from(self, i):
-        return {j: d for (a, j), d in self.index1_differentials().items() if a == i}
-
-    def find_pos_diffs_to(self, j):
-        return {a: d for (a, b), d in self.index1_differentials().items() if b == j}

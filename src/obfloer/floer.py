@@ -14,7 +14,6 @@ Vectors over GF(2) are bit-packed ints throughout (see linalg).
 
 from dataclasses import dataclass
 
-from .domains import DomainCalculator
 from .linalg import F2Map, F2Quotient, F2Subspace, affine_meets_subspace
 from .nicefy import is_nice
 
@@ -287,20 +286,21 @@ def order_from_split(d0, d1, x):
 
 
 class NiceComplex:
-    """Chain-level engine for one nice diagram.
+    """Chain-level engine for one nice diagram, on top of its
+    DomainCalculator (which it shares with the caller).
 
     Construction refuses non-nice diagrams outright; everything else is
     computed lazily and cached per class.
     """
 
-    def __init__(self, diagram):
+    def __init__(self, calc):
+        diagram = calc.dg
         if not is_nice(diagram):
             raise NotNiceError(
                 "diagram %r is not nice; run make_nice first" % diagram.name)
         self.diagram = diagram
-        self.calc = DomainCalculator(diagram)
-        self.table = self.calc.spinc_partition()
-        self.generators = diagram.generators()
+        self.calc = calc
+        self.table = calc.spinc_partition()
         self._diffs = {}
         self._split = {}
         self._canonical = None
@@ -503,7 +503,7 @@ def plot_complex(source, class_index, name=None):
     """
     nice = isinstance(source, NiceComplex)
     calc = source.calc if nice else source
-    table = source.table if nice else calc.spinc_partition()
+    table = calc.spinc_partition()
     if name is None:
         name = "%s_spinc_%d" % (calc.dg.name, class_index)
     lines = _dot_header(name)

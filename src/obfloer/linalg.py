@@ -2,7 +2,7 @@
 
 Three independent toolboxes, all exact (no floating point anywhere):
 
-  * integer matrices as lists of rows: rank, one solution of M x = b over ZZ,
+  * integer matrices as lists of rows: one solution of M x = b over ZZ,
     and a basis of the full integer kernel lattice, via unimodular column
     reduction (column-style Hermite sweep);
   * GF(2) maps with bit-packed vectors (bit i of an int = coordinate i):
@@ -20,10 +20,6 @@ from math import gcd
 
 # ---------------------------------------------------------------------------
 # integer matrices (lists of rows of python ints)
-
-
-def mat_vec_int(mat, vec):
-    return [sum(a * b for a, b in zip(row, vec)) for row in mat]
 
 
 def _column_echelon(mat, ncols=None):
@@ -69,10 +65,6 @@ def _column_echelon(mat, ncols=None):
                     cols[j] = [x - q * y for x, y in zip(cols[j], cols[jmin])]
                     ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[jmin])]
     return cols, ucols, pivots
-
-
-def int_rank(mat, ncols=None):
-    return len(_column_echelon(mat, ncols)[2])
 
 
 def integer_kernel_basis(mat, ncols=None):
@@ -137,14 +129,6 @@ class IntSolver:
             out.append(v)
         out.sort()
         return out
-
-    def rank(self):
-        return len(self.pivots)
-
-
-def solve_integer(mat, b, ncols=None):
-    """One solution of M x = b over the integers, or None."""
-    return IntSolver(mat, ncols).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +279,6 @@ class F2Quotient:
         return out
 
 
-def f2_solve(cols, nrows, b):
-    """Solve the bit-packed column system for b: (solution, kernel basis) or None."""
-    f = F2Map(cols, nrows)
-    x = f.solve(b)
-    if x is None:
-        return None
-    return x, f.kernel_basis()
-
-
 def affine_meets_subspace(offset, dirs, sub):
     """A point of the affine set offset + span(dirs) lying in sub, or None."""
     cols = list(dirs) + sub.vectors()
@@ -366,7 +341,7 @@ def fm_chain(rows, nvars):
     return chain
 
 
-def lattice_points(rows, nvars, point_cap=None):
+def lattice_points(rows, nvars):
     """All integer points of {t in RR^nvars : a . t + c >= 0 for each row
     (a..., c)}, in lexicographic order.
 
@@ -404,11 +379,6 @@ def lattice_points(rows, nvars, point_cap=None):
             prefix.append(t)
             if level + 1 == nvars:
                 out.append(tuple(prefix))
-                if point_cap is not None and len(out) > point_cap:
-                    prefix.pop()
-                    raise RuntimeError(
-                        "polytope holds more than %d lattice points" % point_cap
-                    )
             else:
                 scan(level + 1)
             prefix.pop()

@@ -45,13 +45,6 @@ class StuckError(NicefyError):
 
 
 @dataclass(frozen=True)
-class DistanceMap:
-    """Per-region hop counts to the nearest pointed region via beta arcs."""
-
-    distances: tuple
-
-
-@dataclass(frozen=True)
 class MoveRecord:
     region: int        # index of the bad region the move attacked
     entry_arc: tuple   # directed beta arc the finger pushed, as a point pair
@@ -61,7 +54,7 @@ class MoveRecord:
 
 @dataclass(frozen=True)
 class NiceResult:
-    region_list: "RegionList"
+    diagram: "HeegaardDiagram"
     moves: tuple
 
 
@@ -82,7 +75,8 @@ def is_nice(diagram):
 
 
 def compute_distances(diagram):
-    """Breadth-first distance of every region from the pointed ones.
+    """Breadth-first distance of every region from the pointed ones, as a
+    tuple indexed by region.
 
     Two regions are adjacent when they share a beta arc (one traverses it
     forward, the other backward)."""
@@ -111,7 +105,7 @@ def compute_distances(diagram):
             "regions %r cannot reach a pointed region through beta arcs"
             % missing
         )
-    return DistanceMap(tuple(dist))
+    return tuple(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,7 @@ def _one_move(regs, num_pointed, dists, next_pt, crossing_cap, name):
     return regs, next_pt, MoveRecord(rbad, entry_arc, crossings, next_pt)
 
 
-def _measure(diagram, dm):
+def _measure(diagram, dists):
     """(worst bad distance, badness there), or None when nice."""
     worst = None
     tot = 0
@@ -273,7 +267,7 @@ def _measure(diagram, dm):
         b = region_badness(diagram.regions[r])
         if not b:
             continue
-        d = dm.distances[r]
+        d = dists[r]
         if worst is None or d > worst:
             worst, tot = d, b
         elif d == worst:
@@ -297,13 +291,12 @@ def _relabel(diagram):
 def make_nice(diagram, move_cap=10 ** 6):
     """Apply finger moves until the diagram is nice.
 
-    Returns a NiceResult whose region_list is the input's own region list
-    when it was already nice (zero moves), and otherwise a relabeled nice
+    Returns a NiceResult whose diagram is the input itself when it was
+    already nice (zero moves), and otherwise a relabeled, validated nice
     diagram presenting the same manifold and contact data.
     """
-    rl0 = diagram.to_region_list()
     if is_nice(diagram):
-        return NiceResult(rl0, ())
+        return NiceResult(diagram, ())
     for r in range(diagram.num_regions):
         if not diagram.is_pointed(r) and len(diagram.regions[r]) != 1:
             raise NicefyError(
@@ -317,11 +310,11 @@ def make_nice(diagram, move_cap=10 ** 6):
         if len(moves) >= move_cap:
             raise StuckError("move cap %d reached" % move_cap,
                              cur.to_region_list())
-        dm = compute_distances(cur)
-        before = _measure(cur, dm)
+        dists = compute_distances(cur)
+        before = _measure(cur, dists)
         regs = [[list(c) for c in reg] for reg in cur.regions]
         cap = max(1000, 10 * cur.num_points)
-        regs, _, rec = _one_move(regs, cur.num_pointed, list(dm.distances),
+        regs, _, rec = _one_move(regs, cur.num_pointed, list(dists),
                                  cur.num_points, cap, cur.name)
         rl = make_region_list(regs, cur.num_pointed, name=cur.name)
         cur = build_diagram(rl)
@@ -333,14 +326,13 @@ def make_nice(diagram, move_cap=10 ** 6):
                              rl)
         moves.append(rec)
 
-    out = _relabel(cur)
-    fin = build_diagram(out)
+    fin = build_diagram(_relabel(cur))
     assert is_nice(fin)
     # alignment is preserved, never created: a diagram whose per-curve
     # minima hit one beta curve twice stays that way under isotopy
     assert fin.contact_aligned == diagram.contact_aligned
     assert fin.num_regions - fin.num_points == chi
-    return NiceResult(out, tuple(moves))
+    return NiceResult(fin, tuple(moves))
 
 
 def random_push(region_list, rng):

@@ -170,14 +170,15 @@ def test_nicefication_contract():
     t0 = time.monotonic()
     dg = load_diagram("r6")
     res = make_nice(dg)
-    fin = build_diagram(res.region_list)  # validators run again here
+    # validators run again on the emitted region list
+    fin = build_diagram(res.diagram.to_region_list())
     assert is_nice(fin)
     assert fin.num_regions - fin.num_points == -4
     again = make_nice(fin)
     assert again.moves == ()
-    assert again.region_list == res.region_list
+    assert again.diagram is fin
     # squared boundary vanishes downstream, checked with local arithmetic
-    nc = NiceComplex(fin)
+    nc = NiceComplex(DomainCalculator(fin))
     for ci in range(len(nc.table.classes)):
         sd = nc.build_boundary(ci)
         for g in sd.levels:
@@ -236,7 +237,7 @@ def test_known_manifold_values():
     # tight: one generator, empty differential, nothing ever kills the cycle
     t0 = time.monotonic()
     dg = load_diagram("s3_tight")
-    nc = NiceComplex(dg)
+    nc = NiceComplex(DomainCalculator(dg))
     assert _reduced_rank(dg) == 1
     assert sum(nc.compute_homology(ci).total
                for ci in range(len(nc.table.classes))) == 1
@@ -250,7 +251,7 @@ def test_known_manifold_values():
     # overtwisted: rank 1 but the distinguished cycle is already a boundary
     t0 = time.monotonic()
     dg = load_diagram("s3_overtwisted")
-    nc = NiceComplex(dg)
+    nc = NiceComplex(DomainCalculator(dg))
     assert _reduced_rank(dg) == 1
     assert sum(nc.compute_homology(ci).total
                for ci in range(len(nc.table.classes))) == 1
@@ -264,7 +265,7 @@ def test_known_manifold_values():
     # two-bigon pair: both arrows carry two domains, so everything survives
     t0 = time.monotonic()
     dg = load_diagram("s3_twopoint")
-    nc = NiceComplex(dg)
+    nc = NiceComplex(DomainCalculator(dg))
     assert _reduced_rank(dg) == 2
     assert nc.compute_homology(0).total == 2
     assert nc.check_contact_class() == "nonzero"
@@ -273,8 +274,8 @@ def test_known_manifold_values():
 
     # wiggled product manifold: rank 2 in the torsion class, 0 in the other
     t0 = time.monotonic()
-    fin = build_diagram(make_nice(load_diagram("s1s2")).region_list)
-    nc = NiceComplex(fin)
+    fin = make_nice(load_diagram("s1s2")).diagram
+    nc = NiceComplex(DomainCalculator(fin))
     assert _reduced_rank(fin) == 2
     assert nc.compute_homology(0).total == 2
     assert nc.compute_homology(1).total == 0
@@ -316,12 +317,13 @@ def test_structural_identities():
     wiggled = ["s3_wiggle", "octa2", "s1s2"]
     complexes = []
     for name in open_book:
-        complexes.append((NiceComplex(load_diagram(name)), True))
+        calc = DomainCalculator(load_diagram(name))
+        complexes.append((NiceComplex(calc), True))
     for name in wiggled:
-        fin = build_diagram(make_nice(load_diagram(name)).region_list)
-        complexes.append((NiceComplex(fin), False))
-    fin = build_diagram(make_nice(load_diagram("r6")).region_list)
-    complexes.append((NiceComplex(fin), True))
+        fin = make_nice(load_diagram(name)).diagram
+        complexes.append((NiceComplex(DomainCalculator(fin)), False))
+    fin = make_nice(load_diagram("r6")).diagram
+    complexes.append((NiceComplex(DomainCalculator(fin)), True))
 
     for nc, from_open_book in complexes:
         for ci in range(len(nc.table.classes)):

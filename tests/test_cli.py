@@ -4,14 +4,19 @@ Runs main() in-process; every invocation writes into a fresh tmp dir.
 """
 
 import json
+import runpy
 
 import pytest
 
 from obfloer.cli import main
 from obfloer.diagram import build_diagram, parse_region_list
+from obfloer.domains import DomainCalculator
+from obfloer.floer import NiceComplex
 from obfloer.nicefy import is_nice
 
 from conftest import FIXTURES
+
+DEMOS = FIXTURES.parent / "demos"
 
 
 def run(capsys, *args):
@@ -77,6 +82,18 @@ def test_analyze_unparseable_and_missing(tmp_path, capsys):
     rc, _, err = run(capsys, "analyze", "--input", tmp_path / "nope.json",
                      "--out-dir", tmp_path)
     assert rc == 2 and "cannot read" in err
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe")  # not UTF-8
+    rc, _, err = run(capsys, "analyze", "--input", raw, "--out-dir", tmp_path)
+    assert rc == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("value", ['"x"', "[1]", "1.7"])
+def test_analyze_non_integer_num_pointed(tmp_path, capsys, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"num_pointed": %s, "regions": [[0, 1], [1, 0]]}' % value)
+    rc, _, err = run(capsys, "analyze", "--input", bad, "--out-dir", tmp_path)
+    assert rc == 2 and "num_pointed must be an integer" in err
 
 
 def test_analyze_spinc_filter_and_range(tmp_path, capsys):
@@ -312,3 +329,61 @@ def test_json_stdout_is_machine_readable(tmp_path, capsys):
     assert doc["order"]["order"] == 0
     assert doc["analyze"]["points"] == 3
     assert "makenice" not in doc  # already nice
+
+
+# -- engines per request ------------------------------------------------------
+
+
+@pytest.mark.parametrize("args,complexes,calcs", [
+    (("all", "r6"), 1, 2),  # the raw diagram's calculator, then the nice one's
+    (("all", "s3_tight"), 1, 1),
+    (("homology", "s3_overtwisted", "--dot"), 1, 1),
+])
+def test_one_engine_per_request(tmp_path, capsys, monkeypatch, args,
+                                complexes, calcs):
+    built = {DomainCalculator: 0, NiceComplex: 0}
+
+    def count_builds(cls):
+        init = cls.__init__
+
+        def counted(self, *a):
+            built[cls] += 1
+            init(self, *a)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    for cls in built:
+        count_builds(cls)
+    command, name, *rest = args
+    rc, _, _ = run(capsys, command, "--input", fix(name),
+                   "--out-dir", tmp_path, *rest)
+    assert rc == 0
+    assert (built[NiceComplex], built[DomainCalculator]) == (complexes, calcs)
+
+
+# -- demos --------------------------------------------------------------------
+
+
+def test_pipeline_demo_artifacts_are_golden(tmp_path, capsys):
+    # the commands of demos/pipeline.sh reproduce every committed artifact
+    for args in (("analyze", "r22"), ("all", "r6"),
+                 ("order", "s3_tight", "--format", "json"),
+                 ("order", "s3_overtwisted", "--format", "json"),
+                 ("plot", "s3_overtwisted")):
+        command, name, *rest = args
+        rc, _, _ = run(capsys, command, "--input", fix(name),
+                       "--out-dir", tmp_path, *rest)
+        assert rc == 0, args
+    golden = sorted(p.name for p in (DEMOS / "out").iterdir())
+    assert len(golden) == 12
+    assert sorted(p.name for p in tmp_path.iterdir()) == golden
+    for n in golden:
+        want = (DEMOS / "out" / n).read_bytes()
+        assert (tmp_path / n).read_bytes() == want, n
+
+
+def test_walkthrough_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "walkthrough.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "== r22 ==" in out
+    assert "spectral order: 1" in out

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from obfloer.diagram import ContactConventionError, build_diagram
+from obfloer.diagram import ContactConventionError
 from obfloer.domains import AdmissibilityError, DomainCalculator
 from obfloer.floer import (
     FloerError,
@@ -100,47 +100,47 @@ def _order_oracle(d0cols, d1cols, n1, x, cap=8):
 
 @pytest.fixture(scope="module")
 def nc_tight(s3_tight):
-    return NiceComplex(s3_tight)
+    return NiceComplex(DomainCalculator(s3_tight))
 
 
 @pytest.fixture(scope="module")
 def nc_ot(s3_overtwisted):
-    return NiceComplex(s3_overtwisted)
+    return NiceComplex(DomainCalculator(s3_overtwisted))
 
 
 @pytest.fixture(scope="module")
 def nc_l21(l21):
-    return NiceComplex(l21)
+    return NiceComplex(DomainCalculator(l21))
 
 
 @pytest.fixture(scope="module")
 def nc_l31(l31):
-    return NiceComplex(l31)
+    return NiceComplex(DomainCalculator(l31))
 
 
 @pytest.fixture(scope="module")
 def nc_twopoint(s3_twopoint):
-    return NiceComplex(s3_twopoint)
+    return NiceComplex(DomainCalculator(s3_twopoint))
 
 
 @pytest.fixture(scope="module")
 def nc_r6(r6):
-    return NiceComplex(build_diagram(make_nice(r6).region_list))
+    return NiceComplex(DomainCalculator(make_nice(r6).diagram))
 
 
 @pytest.fixture(scope="module")
 def nc_octa2(octa2):
-    return NiceComplex(build_diagram(make_nice(octa2).region_list))
+    return NiceComplex(DomainCalculator(make_nice(octa2).diagram))
 
 
 @pytest.fixture(scope="module")
 def nc_wiggle(s3_wiggle):
-    return NiceComplex(build_diagram(make_nice(s3_wiggle).region_list))
+    return NiceComplex(DomainCalculator(make_nice(s3_wiggle).diagram))
 
 
 @pytest.fixture(scope="module")
 def nc_s1s2(s1s2):
-    return NiceComplex(build_diagram(make_nice(s1s2).region_list))
+    return NiceComplex(DomainCalculator(make_nice(s1s2).diagram))
 
 
 ALL_NICE = ["nc_tight", "nc_ot", "nc_l21", "nc_l31", "nc_twopoint",
@@ -152,9 +152,9 @@ ALL_NICE = ["nc_tight", "nc_ot", "nc_l21", "nc_l31", "nc_twopoint",
 
 def test_not_nice_refused(r6, s3_wiggle):
     with pytest.raises(NotNiceError):
-        NiceComplex(r6)
+        NiceComplex(DomainCalculator(r6))
     with pytest.raises(NotNiceError):
-        NiceComplex(s3_wiggle)
+        NiceComplex(DomainCalculator(s3_wiggle))
 
 
 def test_diff_entries_ot(nc_ot):
@@ -184,7 +184,8 @@ def test_find_diffs_rejects_bad_pairs(nc_ot, nc_l21):
 
 
 def test_inadmissible_diagram_fails_at_boundary_build(sphere4):
-    nc = NiceComplex(sphere4)  # construction only needs the partition
+    # construction only needs the partition
+    nc = NiceComplex(DomainCalculator(sphere4))
     assert nc.table.div == (2,)
     with pytest.raises(AdmissibilityError):
         nc.compute_homology(0)

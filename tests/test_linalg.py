@@ -10,17 +10,23 @@ from obfloer.linalg import (
     F2Map,
     F2Quotient,
     F2Subspace,
+    IntSolver,
     UnboundedPolytopeError,
     affine_meets_subspace,
     cone_is_trivial,
-    f2_solve,
-    int_rank,
     integer_kernel_basis,
     lattice_points,
-    mat_vec_int,
     polytope_box_bounds,
-    solve_integer,
 )
+
+
+def _mat_vec(mat, vec):
+    return [sum(a * b for a, b in zip(row, vec)) for row in mat]
+
+
+def _rank(mat):
+    # the rank is the number of pivots of the echelon form
+    return len(IntSolver(mat).pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -36,22 +42,23 @@ def test_kernel_frozen_small():
 
 
 def test_rank_frozen():
-    assert int_rank([[1, 2], [2, 4]]) == 1
-    assert int_rank([[1, 0], [0, 1]]) == 2
-    assert int_rank([[0]]) == 0
+    assert _rank([[1, 2], [2, 4]]) == 1
+    assert _rank([[1, 0], [0, 1]]) == 2
+    assert _rank([[0]]) == 0
 
 
 def test_solve_frozen():
-    assert solve_integer([[2, 0], [0, 2]], [2, 4]) == [1, 2]
-    assert solve_integer([[2, 0], [0, 2]], [1, 0]) is None  # divisibility fails
-    assert solve_integer([[2]], [1]) is None
-    assert solve_integer([[1], [1]], [1, 2]) is None  # inconsistent rows
-    x = solve_integer([[1, 1]], [5])
+    assert IntSolver([[2, 0], [0, 2]]).solve([2, 4]) == [1, 2]
+    # divisibility fails
+    assert IntSolver([[2, 0], [0, 2]]).solve([1, 0]) is None
+    assert IntSolver([[2]]).solve([1]) is None
+    assert IntSolver([[1], [1]]).solve([1, 2]) is None  # inconsistent rows
+    x = IntSolver([[1, 1]]).solve([5])
     assert x is not None and sum(x) == 5
     # 3x + 6y = 3 is solvable even though no single coefficient divides rhs... it does
-    x = solve_integer([[3, 6]], [3])
+    x = IntSolver([[3, 6]]).solve([3])
     assert x is not None and 3 * x[0] + 6 * x[1] == 3
-    assert solve_integer([[3, 6]], [2]) is None
+    assert IntSolver([[3, 6]]).solve([2]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +74,7 @@ def test_rank_matches_sympy():
     for _ in range(150):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = _random_mat(rng, m, n)
-        assert int_rank(mat) == sympy.Matrix(mat).rank()
+        assert _rank(mat) == sympy.Matrix(mat).rank()
 
 
 def test_kernel_is_saturated_basis():
@@ -78,7 +85,7 @@ def test_kernel_is_saturated_basis():
         ker = integer_kernel_basis(mat)
         assert len(ker) == n - sympy.Matrix(mat).rank()
         for v in ker:
-            assert mat_vec_int(mat, v) == [0] * m
+            assert _mat_vec(mat, v) == [0] * m
             lead = next((x for x in v if x != 0), 0)
             assert lead > 0
         if ker:
@@ -95,10 +102,10 @@ def test_solve_finds_constructed_solutions():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = _random_mat(rng, m, n)
         x0 = [rng.randint(-5, 5) for _ in range(n)]
-        b = mat_vec_int(mat, x0)
-        x = solve_integer(mat, b)
+        b = _mat_vec(mat, x0)
+        x = IntSolver(mat).solve(b)
         assert x is not None
-        assert mat_vec_int(mat, x) == b
+        assert _mat_vec(mat, x) == b
 
 
 def test_solve_none_agrees_with_rational_rank():
@@ -108,14 +115,14 @@ def test_solve_none_agrees_with_rational_rank():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         mat = _random_mat(rng, m, n, -3, 3)
         b = [rng.randint(-6, 6) for _ in range(m)]
-        x = solve_integer(mat, b)
+        x = IntSolver(mat).solve(b)
         sm = sympy.Matrix(mat)
         aug = sm.row_join(sympy.Matrix(b))
         if aug.rank() > sm.rank():
             assert x is None
             seen_none += 1
         elif x is not None:
-            assert mat_vec_int(mat, x) == b
+            assert _mat_vec(mat, x) == b
     assert seen_none > 20  # the distribution actually exercises the branch
 
 
@@ -179,14 +186,13 @@ def test_f2_quotient_roundtrip():
             assert sub.contains(v ^ q.lift(q.project(v)))
 
 
-def test_f2_solve_wrapper():
+def test_f2_map_solution_and_kernel():
     # one-row system x0 + x1 = 1: particular solution plus kernel
-    got = f2_solve([1, 1], 1, 1)
-    assert got is not None
-    sol, ker = got
-    assert sol == 0b01 and ker == [0b11]
-    assert f2_solve([0], 1, 1) is None
-    assert f2_solve([1, 2], 2, 0b01) == (0b01, [])
+    f = F2Map([1, 1], 1)
+    assert f.solve(1) == 0b01 and f.kernel_basis() == [0b11]
+    assert F2Map([0], 1).solve(1) is None
+    f = F2Map([1, 2], 2)
+    assert f.solve(0b01) == 0b01 and f.kernel_basis() == []
 
 
 def test_affine_meets_subspace():

@@ -32,16 +32,16 @@ def test_pointed_regions_have_distance_zero(r6, r22, s3_overtwisted):
     for d in (r6, r22, s3_overtwisted):
         dm = compute_distances(d)
         for r in range(d.num_regions):
-            assert (dm.distances[r] == 0) == d.is_pointed(r)
+            assert (dm[r] == 0) == d.is_pointed(r)
 
 
 def test_r6_distances(r6):
     # every region one beta arc away from the pointed hexagon pile
-    assert compute_distances(r6).distances == (1, 1, 1, 1, 1, 0)
+    assert compute_distances(r6) == (1, 1, 1, 1, 1, 0)
 
 
 def test_r22_distances(r22):
-    assert compute_distances(r22).distances == (
+    assert compute_distances(r22) == (
         1, 2, 3, 2, 1, 1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 1, 1, 2, 3, 4, 2, 0)
 
 
@@ -59,7 +59,7 @@ def test_distances_satisfy_bfs_recurrence(r22):
         for cir in r22.regions[r]:
             for a, b in circuit_beta_arcs(cir):
                 neigh.update(by_arc.get((b, a), ()))
-        assert dm.distances[r] == 1 + min(dm.distances[s] for s in neigh)
+        assert dm[r] == 1 + min(dm[s] for s in neigh)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_make_nice_r6(r6):
         MoveRecord(region=6, entry_arc=(4, 1), crossings=1, points_after=18),
         MoveRecord(region=11, entry_arc=(7, 9), crossings=2, points_after=22),
     )
-    fin = build_diagram(res.region_list)
+    fin = res.diagram
     assert is_nice(fin)
     assert fin.num_regions == 18 and fin.num_points == 22
     # Euler characteristic of the surface survives: -4 before and after
@@ -119,7 +119,7 @@ def test_make_nice_r22(r22):
     assert len(res.moves) == 12
     assert [m.crossings for m in res.moves] == [1, 2, 1, 2, 3, 19, 1, 2, 3, 7,
                                                 7, 13]
-    fin = build_diagram(res.region_list)
+    fin = res.diagram
     assert is_nice(fin)
     assert fin.num_regions == 144 and fin.num_points == 148
     assert fin.num_regions - fin.num_points == r22.num_regions - r22.num_points
@@ -134,7 +134,7 @@ def test_each_crossing_adds_two_points_and_two_regions(r6, r22):
         for mv in res.moves:
             assert mv.points_after == pts + 2 * mv.crossings
             pts = mv.points_after
-        fin = build_diagram(res.region_list)
+        fin = res.diagram
         grown = 2 * sum(mv.crossings for mv in res.moves)
         assert fin.num_points == d.num_points + grown
         assert fin.num_regions == d.num_regions + grown
@@ -144,15 +144,15 @@ def test_make_nice_fixed_point(s3_overtwisted, l21, s3_tight, sphere4, l31):
     for d in (s3_overtwisted, l21, s3_tight, sphere4, l31):
         res = make_nice(d)
         assert res.moves == ()
-        assert res.region_list == d.to_region_list()
+        assert res.diagram is d
 
 
 def test_make_nice_idempotent(r6, r22):
     for d in (r6, r22):
         once = make_nice(d)
-        again = make_nice(build_diagram(once.region_list))
+        again = make_nice(once.diagram)
         assert again.moves == ()
-        assert again.region_list == once.region_list
+        assert again.diagram is once.diagram
 
 
 def test_wiggle_toy_two_moves():
@@ -167,7 +167,7 @@ def test_wiggle_toy_two_moves():
         MoveRecord(region=1, entry_arc=(2, 1), crossings=1, points_after=5),
         MoveRecord(region=1, entry_arc=(3, 1), crossings=2, points_after=9),
     )
-    fin = build_diagram(res.region_list)
+    fin = res.diagram
     assert is_nice(fin)
     sizes = sorted(len(fin.regions[r][0]) for r in range(fin.num_regions)
                    if not fin.is_pointed(r))
@@ -183,7 +183,7 @@ def test_make_nice_s1s2_one_move(s1s2):
     assert res.moves == (
         MoveRecord(region=2, entry_arc=(1, 3), crossings=1, points_after=6),
     )
-    fin = build_diagram(res.region_list)
+    fin = res.diagram
     assert is_nice(fin)
     assert fin.num_points == 6 and fin.num_regions == 6
     assert fin.contact_aligned
@@ -196,7 +196,7 @@ def test_make_nice_unaligned_input(octa2):
     assert not octa2.contact_aligned
     res = make_nice(octa2)
     assert [m.crossings for m in res.moves] == [1, 1]
-    fin = build_diagram(res.region_list)
+    fin = res.diagram
     assert is_nice(fin)
     assert not fin.contact_aligned
     assert fin.num_points == 8 and fin.num_regions == 6
@@ -207,7 +207,7 @@ def test_make_nice_unaligned_input(octa2):
 
 def test_relabel_blocks_and_contact(r6, r22):
     for d in (r6, r22):
-        fin = build_diagram(make_nice(d).region_list)
+        fin = make_nice(d).diagram
         offset = 0
         for i, cyc in enumerate(fin.alpha_curves):
             assert sorted(cyc) == list(range(offset, offset + len(cyc)))
