@@ -78,10 +78,12 @@ class _Engines:
 
     analyze and general plots read the calculator; homology, contact,
     order and nice plots share one NiceComplex built on that calculator.
+    name is the stem of the diagram's DOT plots (default: its own name).
     """
 
-    def __init__(self, dg):
+    def __init__(self, dg, name=None):
         self.dg = dg
+        self.name = dg.name if name is None else name
 
     @cached_property
     def calc(self):
@@ -152,9 +154,10 @@ def _entry_lines(entries):
 def _emit_dots(eng, ks, out):
     # nice diagrams always plot through the counting engine
     src = eng.complex if is_nice(eng.dg) else eng.calc
-    base = _safe_name(eng.dg.name)
+    base = _safe_name(eng.name)
     for k in ks:
-        out.write(base + "_spinc_%d.dot" % k, plot_complex(src, k))
+        out.write(base + "_spinc_%d.dot" % k,
+                  plot_complex(src, k, name="%s_spinc_%d" % (eng.name, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +296,8 @@ def cmd_all(cfg, eng, out):
     parts = {"analyze": cmd_analyze(cfg, eng, out)}
     if not is_nice(eng.dg):
         parts["makenice"], fin = _makenice_core(cfg, eng.dg, out)
-        eng = _Engines(fin)
+        # the nice diagram's plots go beside the raw diagram's, not over them
+        eng = _Engines(fin, name=eng.name + "_nice")
     parts["homology"] = cmd_homology(cfg, eng, out)
     parts["contact"] = cmd_contact(cfg, eng, out)
     parts["order"] = cmd_order(cfg, eng, out)

@@ -12,18 +12,28 @@ Chains of unpointed regions ("hat" domains, class Domain) are the ones the
 hat theory counts; chains over all regions (FullDomain) decide when two
 generators sit in the same SpinC class and carry the relative grading.
 
-The calculator owns the prepared integer solvers and exposes:
+The calculator reduces each generator once, lazily, modulo the lattice of
+region boundaries (IntSolver.reduce).  The canonical residue of that
+reduction names the generator's SpinC class, and its quotient gives a
+potential: a chain whose boundary is the generator up to the residue.
+Two generators are joined by a full domain iff their residues agree, and
+the difference of their potentials is then one; a second residue, of the
+pointed coefficients modulo the full periodic domains, decides the same
+for hat domains.  No solve runs per pair of generators.
+
+The calculator exposes:
 
   * periodic_domain_basis: lattice basis of hat domains with empty boundary;
   * check_weak_admissibility: no nonzero nonnegative periodic combination;
-  * connecting_domain / find_pos_domains: one solution, or the full list of
-    nonnegative solutions (a bounded-polytope lattice scan);
+  * connecting_domain / find_pos_domains: one solution (a difference of
+    potentials), or the full list of nonnegative solutions (a
+    bounded-polytope lattice scan around it, sorted);
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
     switches, and the (J+, chi, b, g) shape of the underlying curve;
-  * spinc_partition / index1_differentials: SpinC classes with Chern
-    numbers, divisibility, relative gradings, and the candidate
-    differentials (positive index-1 domains between grading-adjacent
-    generators).
+  * spinc_partition / index1_differentials: SpinC classes (generators
+    grouped by residue) with Chern numbers, divisibility, relative
+    gradings, and the candidate differentials (positive index-1 domains
+    between grading-adjacent generators).
 """
 
 from __future__ import annotations
@@ -112,15 +122,29 @@ class DomainCalculator:
         self.num_unpointed = diagram.num_unpointed
         self._pm4 = diagram.point_measures_4  # [region][point]
         self._em2 = diagram.euler_measures_2
-        self._hat = IntSolver(diagram.boundary_mat, ncols=self.num_unpointed)
         self._full = IntSolver(diagram.boundary_mat, ncols=self.num_regions)
-        kb = self._hat.kernel_basis()
-        assert len(kb) == diagram.b1_diagram
+        kb = IntSolver(
+            diagram.boundary_mat, ncols=self.num_unpointed
+        ).kernel_basis()
+        if len(kb) != diagram.b1_diagram:
+            raise DomainError(
+                "periodic rank %d != b1 %d" % (len(kb), diagram.b1_diagram))
         self._periodic = PeriodicDomainGroup(
             basis=tuple(Domain(tuple(v), 0, 0) for v in kb), rank=len(kb)
         )
+        # per unpointed region, its coefficient in each periodic basis element
+        self._basis_rows = [
+            tuple(v[r] for v in kb) for r in range(self.num_unpointed)
+        ]
         self._full_kernel = self._full.kernel_basis()
+        bm = diagram.boundary_mat
+        self._region_cols = [  # nonzero (point, entry) pairs of each column
+            [(p, row[r]) for p, row in enumerate(bm) if row[r]]
+            for r in range(self.num_regions)
+        ]
         self._gens = diagram.generators()
+        self._potentials = None
+        self._contact_corners = None
         self._admissible = None
         self._edges = None
         self._point_fans = None
@@ -151,14 +175,16 @@ class DomainCalculator:
 
     def _check_boundary(self, dom):
         rhs = self._indicator_diff(self._gen(dom.src), self._gen(dom.dst))
-        c = self._full_coeffs(dom)
-        bm = self.dg.boundary_mat
-        for p in range(self.dg.num_points):
-            got = sum(bm[p][r] * c[r] for r in range(self.num_regions) if c[r])
-            if got != rhs[p]:
-                raise DomainError(
-                    "boundary mismatch at point %d: %d != %d" % (p, got, rhs[p])
-                )
+        got = [0] * self.dg.num_points
+        for cr, col in zip(dom.coeffs, self._region_cols):
+            if cr:
+                for p, e in col:
+                    got[p] += cr * e
+        if got != rhs:
+            p = next(p for p, (g, w) in enumerate(zip(got, rhs)) if g != w)
+            raise DomainError(
+                "boundary mismatch at point %d: %d != %d" % (p, got[p], rhs[p])
+            )
         return dom
 
     def _pm4_sum(self, coeffs, points):
@@ -191,21 +217,59 @@ class DomainCalculator:
 
     # -- connecting and positive domains -----------------------------------
 
+    def _generator_potentials(self):
+        """Per generator g: (full residue, pointed residue, chain Q_g).
+
+        Reducing -indicator(g) modulo the full column lattice gives a
+        residue r_g and a chain P_g with boundary -indicator(g) - r_g, so a
+        full domain x -> y exists iff r_x == r_y, and P_y - P_x is one.
+        Q_g is P_g minus the full-periodic combination that brings its
+        pointed coefficients down to their canonical residue modulo the
+        pointed rows of the full kernel; a hat domain exists iff both
+        residues agree, and Q_y - Q_x is then one (pointed part zero).
+        """
+        if self._potentials is None:
+            nu, npt = self.num_unpointed, self.dg.num_pointed
+            kern = self._full_kernel
+            pointed = IntSolver(
+                [[k[nu + p] for k in kern] for p in range(npt)], ncols=len(kern)
+            )
+            pots = []
+            for g in self._gens:
+                rhs = [0] * self.dg.num_points
+                for p in g.points:
+                    rhs[p] -= 1
+                y, r = self._full.reduce(rhs)
+                chain = self._full.apply_u(y)
+                z, s = pointed.reduce(chain[nu:])
+                for k, w in zip(kern, pointed.apply_u(z)):
+                    if w:
+                        chain = [c - w * v for c, v in zip(chain, k)]
+                pots.append((tuple(r), tuple(s), chain))
+            self._potentials = pots
+        return self._potentials
+
     def connecting_domain(self, x, y):
         """Some hat domain from x to y, or None when none exists."""
         xg, yg = self._gen(x), self._gen(y)
-        sol = self._hat.solve(self._indicator_diff(xg, yg))
-        if sol is None:
+        pots = self._generator_potentials()
+        rx, sx, qx = pots[xg.index]
+        ry, sy, qy = pots[yg.index]
+        if rx != ry or sx != sy:
             return None
-        return self._check_boundary(Domain(tuple(sol), xg.index, yg.index))
+        coeffs = tuple(b - a for a, b in zip(qx[: self.num_unpointed], qy))
+        return self._check_boundary(Domain(coeffs, xg.index, yg.index))
 
     def full_connecting_domain(self, x, y):
         """Some chain over all regions from x to y, or None."""
         xg, yg = self._gen(x), self._gen(y)
-        sol = self._full.solve(self._indicator_diff(xg, yg))
-        if sol is None:
+        pots = self._generator_potentials()
+        rx, _, qx = pots[xg.index]
+        ry, _, qy = pots[yg.index]
+        if rx != ry:
             return None
-        return self._check_boundary(FullDomain(tuple(sol), xg.index, yg.index))
+        coeffs = tuple(b - a for a, b in zip(qx, qy))
+        return self._check_boundary(FullDomain(coeffs, xg.index, yg.index))
 
     def _corner_cut_rows(self, xg, yg, base, basis):
         """Pruning rows from the two-corner pinning at moving contact points.
@@ -221,17 +285,22 @@ class DomainCalculator:
         integer scan; infeasibility is reported as None so the caller can
         skip the scan entirely.
         """
-        contact = set(self.dg.contact_points)
+        if self._contact_corners is None:
+            corners = {}
+            for c in self.dg.contact_points:
+                # unpointed occurrence multiplicity by corner parity
+                cnt = ({}, {})
+                for r, _, i in self.dg.corner_occurrences(c):
+                    if not self.dg.is_pointed(r):
+                        d = cnt[i % 2]
+                        d[r] = d.get(r, 0) + 1
+                corners[c] = cnt
+            self._contact_corners = corners
         xset, yset = set(xg.points), set(yg.points)
-        rank = len(basis)
         rows = []
-        for c in contact & (xset ^ yset):
+        for c in self._contact_corners.keys() & (xset ^ yset):
             rhs = 1 if c in xset else -1
-            cnt = ({}, {})  # unpointed occurrence multiplicity by corner parity
-            for r, _, i in self.dg.corner_occurrences(c):
-                if not self.dg.is_pointed(r):
-                    d = cnt[i % 2]
-                    d[r] = d.get(r, 0) + 1
+            cnt = self._contact_corners[c]
             if cnt[0] and cnt[1]:
                 continue  # both signs live: nothing to pin
             if cnt[0]:
@@ -261,10 +330,7 @@ class DomainCalculator:
             return []
         basis = [d.coeffs for d in self._periodic.basis]
         rank = len(basis)
-        rows = [
-            tuple(b[r] for b in basis) + (d0.coeffs[r],)
-            for r in range(self.num_unpointed)
-        ]
+        rows = [br + (c,) for br, c in zip(self._basis_rows, d0.coeffs)]
         cuts = self._corner_cut_rows(xg, yg, d0.coeffs, basis)
         if cuts is None:
             return []
@@ -282,7 +348,10 @@ class DomainCalculator:
                 d0.coeffs[r] + sum(t[j] * basis[j][r] for j in range(rank))
                 for r in range(self.num_unpointed)
             )
-            assert all(v >= 0 for v in coeffs)
+            if any(v < 0 for v in coeffs):
+                raise DomainError(
+                    "lattice scan left the nonnegative cone: %s -> %s" % (xg, yg)
+                )
             out.append(self._check_boundary(Domain(coeffs, xg.index, yg.index)))
         out.sort(key=lambda d: d.coeffs)
         return out
@@ -521,25 +590,24 @@ class DomainCalculator:
         if self._spinc is not None:
             return self._spinc
         gens = self._gens
+        pots = self._generator_potentials()
         class_members = []
         anchors = []
         class_of = [None] * len(gens)
+        class_by_residue = {}
         conn = {}  # generator index -> FullDomain from its class anchor
         for g in gens:
-            for ci, a in enumerate(anchors):
-                dom = self.full_connecting_domain(a, g)
-                if dom is not None:
-                    class_members[ci].append(g.index)
-                    class_of[g.index] = ci
-                    conn[g.index] = dom
-                    break
-            else:
+            ci = class_by_residue.setdefault(pots[g.index][0], len(anchors))
+            class_of[g.index] = ci
+            if ci == len(anchors):
                 anchors.append(g)
                 class_members.append([g.index])
-                class_of[g.index] = len(anchors) - 1
                 conn[g.index] = FullDomain(
                     (0,) * self.num_regions, g.index, g.index
                 )
+            else:
+                class_members[ci].append(g.index)
+                conn[g.index] = self.full_connecting_domain(anchors[ci], g)
 
         basis = [d.coeffs for d in self._periodic.basis]
         chern = tuple(
@@ -547,7 +615,8 @@ class DomainCalculator:
         )
         for members in class_members:
             first = chern[members[0]]
-            assert all(chern[i] == first for i in members), "Chern split a class"
+            if any(chern[i] != first for i in members):
+                raise DomainError("Chern split a class")
 
         npt = self.dg.num_pointed
         divs = []

@@ -95,29 +95,50 @@ class IntSolver:
             ncols = len(mat[0]) if self.nrows else 0
         self.ncols = ncols
         self.hcols, self.ucols, self.pivots = _column_echelon(mat, ncols)
+        # nonzero entries of the pivot columns of H and U
+        self._hpiv = [
+            (row, col, [(i, v) for i, v in enumerate(self.hcols[col]) if v])
+            for row, col in self.pivots
+        ]
+        self._upiv = [
+            [(i, v) for i, v in enumerate(self.ucols[col]) if v]
+            for _, col in self.pivots
+        ]
+
+    def reduce(self, b):
+        """(y, r) with b = H y + r and r the canonical residue of b modulo
+        the column lattice: b and b + M z always get the same r.
+
+        Floor division at each pivot leaves r[row] in [0, pivot); pivot
+        columns vanish above their pivot row, so later pivots never touch
+        an earlier pivot row and r is canonical.
+        """
+        y = [0] * self.ncols
+        r = list(b)
+        for row, col, hc in self._hpiv:
+            q = r[row] // hc[0][1]
+            if q:
+                y[col] = q
+                for i, v in hc:
+                    r[i] -= q * v
+        return y, r
+
+    def apply_u(self, y):
+        """U y, for y supported on the pivot columns (as reduce returns)."""
+        x = [0] * self.ncols
+        for (_, col, _), uc in zip(self._hpiv, self._upiv):
+            q = y[col]
+            if q:
+                for i, v in uc:
+                    x[i] += q * v
+        return x
 
     def solve(self, b):
         """One integer solution, or None."""
-        y = [0] * self.ncols
-        resid = list(b)
-        for row, col in self.pivots:
-            r = resid[row]
-            p = self.hcols[col][row]
-            if r % p:
-                return None
-            q = r // p
-            y[col] = q
-            if q:
-                hc = self.hcols[col]
-                for i in range(self.nrows):
-                    resid[i] -= q * hc[i]
-        if any(resid):
+        y, r = self.reduce(b)
+        if any(r):
             return None
-        u = self.ucols
-        return [
-            sum(u[j][i] * y[j] for j in range(self.ncols) if y[j])
-            for i in range(self.ncols)
-        ]
+        return self.apply_u(y)
 
     def kernel_basis(self):
         out = []

@@ -298,6 +298,35 @@ def test_all_chain_r6(tmp_path, capsys):
     assert "[analyze]" in out and "[order]" in out
 
 
+def test_all_dot_writes_raw_and_nice_plots_once_each(tmp_path, capsys):
+    rc, out, _ = run(capsys, "all", "--input", fix("r6"), "--out-dir",
+                     tmp_path / "all", "--dot")
+    assert rc == 0
+    wrote = [line for line in out.splitlines() if line.startswith("wrote ")]
+    assert len(wrote) == len(set(wrote))
+    raw = sorted(p.name for p in (tmp_path / "all").glob("r6_spinc_*.dot"))
+    nice = sorted(p.name for p in (tmp_path / "all").glob("r6_nice_spinc_*"))
+    assert raw == ["r6_spinc_%d.dot" % k for k in range(4)]
+    assert nice == ["r6_nice_spinc_%d.dot" % k for k in range(4)]
+    # the nice plots are the ones `homology --dot` draws from the nice
+    # diagram, under their own names
+    rc, _, _ = run(capsys, "homology", "--input", tmp_path / "all/r6_nice.json",
+                   "--out-dir", tmp_path / "hom", "--dot")
+    assert rc == 0
+    for k in range(4):
+        got = (tmp_path / "all" / ("r6_nice_spinc_%d.dot" % k)).read_text()
+        want = (tmp_path / "hom" / ("r6_spinc_%d.dot" % k)).read_text()
+        assert got.startswith('digraph "r6_nice_spinc_%d" {' % k)
+        assert got.split("\n", 1)[1] == want.split("\n", 1)[1]
+    # analyze's plots stay those of the raw diagram
+    rc, _, _ = run(capsys, "plot", "--input", fix("r6"),
+                   "--out-dir", tmp_path / "plot")
+    assert rc == 0
+    for name in raw:
+        assert ((tmp_path / "all" / name).read_bytes()
+                == (tmp_path / "plot" / name).read_bytes())
+
+
 def test_all_skips_makenice_when_nice(tmp_path, capsys):
     rc, _, _ = run(capsys, "all", "--input", fix("s3_tight"),
                    "--out-dir", tmp_path)

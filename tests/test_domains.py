@@ -12,16 +12,19 @@ import random
 import pytest
 import sympy
 
+from obfloer import domains
+from obfloer.cli import main
 from obfloer.diagram import build_diagram, make_region_list
 from obfloer.domains import (
     AdmissibilityError,
     Domain,
     DomainCalculator,
     DomainError,
+    FullDomain,
 )
-from obfloer.linalg import polytope_box_bounds
+from obfloer.linalg import IntSolver, polytope_box_bounds
 
-from conftest import load_diagram
+from conftest import FIXTURES, load_diagram
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +137,48 @@ def test_boundary_check_rejects_corruption(calc_r6):
     bad = Domain((1,) + (0,) * (calc_r6.num_unpointed - 1), 0, 0)
     with pytest.raises(DomainError):
         calc_r6._check_boundary(bad)
+
+
+# a positive domain of r22 from generator 7 to the contact generator 0
+R22_7_TO_0 = (0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0)
+
+
+def test_boundary_check_multi_region_corruption(calc_r22):
+    good = Domain(R22_7_TO_0, 7, 0)
+    assert calc_r22._check_boundary(good) is good
+    # the message names the first point whose boundary is off
+    bumped = tuple(c + (r == 3) for r, c in enumerate(R22_7_TO_0))
+    with pytest.raises(DomainError,
+                       match=r"^boundary mismatch at point 3: -1 != 0$"):
+        calc_r22._check_boundary(Domain(bumped, 7, 0))
+    full = FullDomain(tuple(-c for c in R22_7_TO_0) + (2,), 0, 7)
+    with pytest.raises(DomainError,
+                       match=r"^boundary mismatch at point 0: 4 != 0$"):
+        calc_r22._check_boundary(full)
+
+
+def test_analyze_reduces_each_generator_once(tmp_path, monkeypatch):
+    # classes and connecting domains come from one reduction per generator
+    # and solver; no integer solve runs for a pair of generators
+    reduces, solves = {}, []
+    reduce, solve = IntSolver.reduce, IntSolver.solve
+
+    def counted_reduce(self, b):
+        reduces[id(self)] = reduces.get(id(self), 0) + 1
+        return reduce(self, b)
+
+    def counted_solve(self, b):
+        solves.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(IntSolver, "reduce", counted_reduce)
+    monkeypatch.setattr(IntSolver, "solve", counted_solve)
+    rc = main(["analyze", "--input", str(FIXTURES / "r22.json"),
+               "--out-dir", str(tmp_path), "--format", "json"])
+    assert rc == 0
+    ngens = len(load_diagram("r22").generators())
+    assert reduces and max(reduces.values()) == ngens
+    assert solves == []
 
 
 # -- positive-domain scans ---------------------------------------------------
@@ -457,3 +502,28 @@ def test_arrows_into_contact_generator_r22(calc_r22):
     incoming = _diffs_to(calc_r22, xi)
     assert set(incoming) == {7, 24, 36, 62, 74, 111}
     assert sorted(len(v) for v in incoming.values()) == [1, 1, 1, 1, 2, 2]
+
+
+# -- invariants raise DomainError ---------------------------------------------
+
+
+def test_chern_split_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # Chern numbers that differ inside one class break an exact invariant;
+    # it raises DomainError (exit 4) even under python -O
+    monkeypatch.setattr(DomainCalculator, "maslov_as_periodic",
+                        lambda self, coeffs, g: self._gen(g).index)
+    with pytest.raises(DomainError, match="^Chern split a class$"):
+        DomainCalculator(load_diagram("r22")).spinc_partition()
+    rc = main(["analyze", "--input", str(FIXTURES / "r22.json"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 4
+    assert "internal error: Chern split a class" in capsys.readouterr().err
+
+
+def test_scan_point_outside_the_cone_is_an_internal_error(monkeypatch):
+    calc = DomainCalculator(load_diagram("r22"))
+    assert calc.find_pos_domains(7, 0)
+    monkeypatch.setattr(domains, "lattice_points",
+                        lambda rows, nvars: [(-50,) * nvars])
+    with pytest.raises(DomainError, match="left the nonnegative cone"):
+        calc.find_pos_domains(7, 0)

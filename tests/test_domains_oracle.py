@@ -1,0 +1,262 @@
+"""Spin-c classes and positive domains against the per-pair solves.
+
+DomainCalculator finds classes and connecting domains from one reduction
+per generator.  The oracles below are the per-pair path it replaced: a
+generator joins the first class anchor it has a full solve to, and the
+positive-domain scan starts from one hat solve of the pair.  Both must
+give the same SpinCTable and the same positive domains, on every fixture
+and on seeded finger-moved variants.
+"""
+
+import random
+from math import gcd
+
+import pytest
+
+from obfloer.diagram import build_diagram, make_region_list
+from obfloer.domains import (
+    AdmissibilityError,
+    DomainCalculator,
+    FullDomain,
+    SpinCTable,
+)
+from obfloer.linalg import IntSolver, UnboundedPolytopeError, lattice_points
+from obfloer.nicefy import make_nice, random_push
+
+from conftest import FIXTURES, load_region_list
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
+
+
+def _indicator_diff(dg, xg, yg):
+    rhs = [0] * dg.num_points
+    for p in xg.points:
+        rhs[p] += 1
+    for p in yg.points:
+        rhs[p] -= 1
+    return rhs
+
+
+def oracle_spinc_partition(calc):
+    """Anchor loop: each generator solved against every anchor in turn."""
+    dg = calc.dg
+    full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
+    gens = dg.generators()
+    members, anchors, conn = [], [], {}
+    class_of = [None] * len(gens)
+    for g in gens:
+        for ci, a in enumerate(anchors):
+            sol = full.solve(_indicator_diff(dg, a, g))
+            if sol is not None:
+                members[ci].append(g.index)
+                class_of[g.index] = ci
+                conn[g.index] = sol
+                break
+        else:
+            anchors.append(g)
+            members.append([g.index])
+            class_of[g.index] = len(anchors) - 1
+            conn[g.index] = [0] * dg.num_regions
+    basis = [d.coeffs for d in calc.periodic_domain_basis().basis]
+    chern = tuple(
+        tuple(calc.maslov_as_periodic(b, g) for b in basis) for g in gens
+    )
+    npt = dg.num_pointed
+    divs, gradings = [], []
+    for ci, mem in enumerate(members):
+        d = 0
+        for q in full.kernel_basis():
+            d = gcd(d, calc.maslov_as_periodic(q, anchors[ci])
+                    - 2 * sum(q[-npt:]))
+        divs.append(d)
+        gr = {}
+        for i in mem:
+            c = conn[i]
+            mu = calc.maslov_index(FullDomain(tuple(c), anchors[ci].index, i))
+            val = -(mu - 2 * sum(c[-npt:]))
+            gr[i] = val % d if d else val
+        gradings.append(gr)
+    return SpinCTable(
+        classes=tuple(tuple(m) for m in members),
+        class_of=tuple(class_of),
+        chern=chern,
+        div=tuple(divs),
+        gradings=tuple(gradings),
+    )
+
+
+def _oracle_corner_cuts(dg, xg, yg, base, basis):
+    contact = set(dg.contact_points)
+    xset, yset = set(xg.points), set(yg.points)
+    rows = []
+    for c in contact & (xset ^ yset):
+        rhs = 1 if c in xset else -1
+        cnt = ({}, {})
+        for r, _, i in dg.corner_occurrences(c):
+            if not dg.is_pointed(r):
+                d = cnt[i % 2]
+                d[r] = d.get(r, 0) + 1
+        if cnt[0] and cnt[1]:
+            continue
+        if cnt[0]:
+            live, total = cnt[0], rhs
+        elif cnt[1]:
+            live, total = cnt[1], -rhs
+        else:
+            return None
+        if total < 0:
+            return None
+        for r, m in live.items():
+            rows.append(tuple(-m * b[r] for b in basis) + (1 - m * base[r],))
+    return rows
+
+
+class PairOracle:
+    """Positive hat domains of a pair, scanned from one solve of the pair."""
+
+    def __init__(self, calc):
+        self.calc = calc
+        dg = calc.dg
+        self.hat = IntSolver(dg.boundary_mat, ncols=dg.num_unpointed)
+        self.basis = [d.coeffs for d in calc.periodic_domain_basis().basis]
+
+    def connecting(self, xg, yg):
+        return self.hat.solve(_indicator_diff(self.calc.dg, xg, yg))
+
+    def pos_domains(self, i, j):
+        """Sorted coefficient tuples, or AdmissibilityError (the class)."""
+        dg, basis = self.calc.dg, self.basis
+        gens = dg.generators()
+        xg, yg = gens[i], gens[j]
+        base = self.connecting(xg, yg)
+        if base is None:
+            return []
+        rows = [tuple(b[r] for b in basis) + (base[r],)
+                for r in range(dg.num_unpointed)]
+        cuts = _oracle_corner_cuts(dg, xg, yg, base, basis)
+        if cuts is None:
+            return []
+        try:
+            ts = lattice_points(rows + cuts, len(basis))
+        except UnboundedPolytopeError:
+            return AdmissibilityError
+        return sorted(
+            tuple(base[r] + sum(t[k] * b[r] for k, b in enumerate(basis))
+                  for r in range(dg.num_unpointed))
+            for t in ts
+        )
+
+
+def _adjacent_pairs(table):
+    for ci, members in enumerate(table.classes):
+        gr, d = table.gradings[ci], table.div[ci]
+        for i in members:
+            for j in members:
+                drop = gr[i] - gr[j] - 1
+                if (drop % d if d else drop) == 0:
+                    yield i, j
+
+
+def _fast_pos_domains(calc, i, j):
+    try:
+        doms = calc.find_pos_domains(i, j)
+    except AdmissibilityError:
+        return AdmissibilityError
+    assert all((d.src, d.dst) == (i, j) for d in doms)
+    return [d.coeffs for d in doms]
+
+
+def check_against_oracles(dg):
+    calc = DomainCalculator(dg)
+    table = calc.spinc_partition()
+    want = oracle_spinc_partition(calc)
+    for field in ("classes", "class_of", "chern", "div", "gradings"):
+        assert getattr(table, field) == getattr(want, field), field
+    pairs = PairOracle(calc)
+    checked = 0
+    for i, j in _adjacent_pairs(table):
+        assert _fast_pos_domains(calc, i, j) == pairs.pos_domains(i, j), (i, j)
+        checked += 1
+    return calc, checked
+
+
+def _variant(name, pushes, seed):
+    rl = load_region_list(name)
+    rng = random.Random("%s/%d/%d" % (name, pushes, seed))
+    for _ in range(pushes):
+        rl = random_push(rl, rng)
+    return build_diagram(rl)
+
+
+# Sphere with alpha and beta meeting in four points and the two basepoints
+# in the bigons on the same sides of both curves: every full periodic
+# domain covers both basepoints equally, so pairs of generators whose
+# full domains cover them unequally have no hat domain.
+TWICE_POINTED = [[3, 0, 1, 2], [0, 3], [2, 1], [1, 0, 3, 2], [0, 1], [2, 3]]
+
+
+def _fixture(name):
+    if name == "twice_pointed":
+        return build_diagram(make_region_list(TWICE_POINTED, 2, name=name))
+    return build_diagram(load_region_list(name))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["twice_pointed"])
+def test_fixture_matches_oracles(name):
+    calc, _ = check_against_oracles(_fixture(name))
+    # hat connecting domains exist for exactly the pairs the solve finds
+    pairs = PairOracle(calc)
+    gens = calc.dg.generators()
+    full_only = 0
+    if len(gens) <= 40:
+        for x in gens:
+            for y in gens:
+                hat = calc.connecting_domain(x, y)
+                assert (hat is None) == (pairs.connecting(x, y) is None)
+                full = calc.full_connecting_domain(x, y)
+                full_only += hat is None and full is not None
+    assert (full_only > 0) == (name == "twice_pointed")
+
+
+@pytest.mark.parametrize("pushes,seed", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_r22_variants_match_oracles(pushes, seed):
+    _, checked = check_against_oracles(_variant("r22", pushes, seed))
+    assert checked > 0
+
+
+class _Pick:
+    """Stands in for an rng so that random_push takes candidate k."""
+
+    def __init__(self, k):
+        self.k = k
+        self.n = None
+
+    def randrange(self, n):
+        self.n = n
+        return min(self.k, n - 1)
+
+
+def _one_push_variants(name):
+    rl = load_region_list(name)
+    out, k = [], 0
+    while True:
+        pick = _Pick(k)
+        moved = random_push(rl, pick)
+        if moved is None or k >= pick.n:
+            return out
+        out.append(moved)
+        k += 1
+
+
+R6_ONE_PUSH = _one_push_variants("r6")
+
+
+def test_r6_has_fourteen_one_push_variants():
+    assert len(R6_ONE_PUSH) == 14
+
+
+@pytest.mark.parametrize("k", range(len(R6_ONE_PUSH)))
+def test_r6_nice_variants_match_oracles(k):
+    nice = make_nice(build_diagram(R6_ONE_PUSH[k])).diagram
+    _, checked = check_against_oracles(nice)
+    assert checked > 0

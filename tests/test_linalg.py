@@ -2,6 +2,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from fractions import Fraction
@@ -124,6 +126,43 @@ def test_solve_none_agrees_with_rational_rank():
         elif x is not None:
             assert _mat_vec(mat, x) == b
     assert seen_none > 20  # the distribution actually exercises the branch
+
+
+@st.composite
+def _system(draw):
+    """(M, b, z): a small integer matrix, a right-hand side, a coefficient
+    vector for the columns."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                        min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    z = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return mat, b, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(_system())
+def test_reduce_residue_is_canonical(system):
+    mat, b, z = system
+    solver = IntSolver(mat)
+    y, r = solver.reduce(b)
+    # b = H y + r, with each pivot-row residue in [0, pivot)
+    hy = [sum(solver.hcols[j][i] * y[j] for j in range(solver.ncols))
+          for i in range(solver.nrows)]
+    assert [u + v for u, v in zip(hy, r)] == b
+    for row, col in solver.pivots:
+        assert 0 <= r[row] < solver.hcols[col][row]
+    # b and b + M z share a residue
+    shifted = [u + v for u, v in zip(b, _mat_vec(mat, z))]
+    assert solver.reduce(shifted)[1] == r
+    # solve succeeds exactly on a zero residue, and then solves
+    x = solver.solve(b)
+    assert (x is not None) == (not any(r))
+    if x is not None:
+        assert _mat_vec(mat, x) == b
+    assert _mat_vec(mat, solver.apply_u(y)) == hy
 
 
 # ---------------------------------------------------------------------------
