@@ -27,7 +27,10 @@ The calculator exposes:
   * check_weak_admissibility: no nonzero nonnegative periodic combination;
   * connecting_domain / find_pos_domains: one solution (a difference of
     potentials), or the full list of nonnegative solutions (a
-    bounded-polytope lattice scan around it, sorted);
+    bounded-polytope lattice scan around it, sorted).  Regions are grouped
+    by the primitive direction of their periodic row: the scan gets one
+    row per direction, and regions with no periodic row are a sign check
+    on the solution before any scan;
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
     switches, and the (J+, chi, b, g) shape of the underlying curve;
   * spinc_partition / index1_differentials: SpinC classes (generators
@@ -136,6 +139,21 @@ class DomainCalculator:
         self._basis_rows = [
             tuple(v[r] for v in kb) for r in range(self.num_unpointed)
         ]
+        # Regions whose rows share a primitive direction bound the scan by
+        # parallel half-spaces, so only the tightest of each group counts;
+        # regions with a zero row are fixed at the base domain's sign.
+        # direction -> [(region, multiple of the direction)]
+        self._directions = {}
+        self._fixed_regions = []
+        for r, row in enumerate(self._basis_rows):
+            g = 0
+            for v in row:
+                g = gcd(g, v)
+            if g:
+                key = tuple(v // g for v in row)
+                self._directions.setdefault(key, []).append((r, g))
+            else:
+                self._fixed_regions.append(r)
         self._full_kernel = self._full.kernel_basis()
         bm = diagram.boundary_mat
         self._region_cols = [  # nonzero (point, entry) pairs of each column
@@ -208,11 +226,8 @@ class DomainCalculator:
     def check_weak_admissibility(self):
         """True iff no nonzero combination of periodic domains is >= 0."""
         if self._admissible is None:
-            basis = [d.coeffs for d in self._periodic.basis]
-            rows = [
-                tuple(b[r] for b in basis) for r in range(self.num_unpointed)
-            ]
-            self._admissible = cone_is_trivial(rows, self._periodic.rank)
+            self._admissible = cone_is_trivial(
+                self._basis_rows, self._periodic.rank)
         return self._admissible
 
     # -- connecting and positive domains -----------------------------------
@@ -322,16 +337,27 @@ class DomainCalculator:
 
         Scans the lattice points of {t : base + t . periodic >= 0}; raises
         AdmissibilityError when that polytope is unbounded, which is exactly
-        a weak-admissibility failure.
+        a weak-admissibility failure.  The scan gets one row per periodic
+        direction, the tightest (least base[r] / g_r) of the regions along
+        it, which leaves the feasible set unchanged.
         """
         xg, yg = self._gen(x), self._gen(y)
         d0 = self.connecting_domain(xg, yg)
         if d0 is None:
             return []
+        base = d0.coeffs
+        if any(base[r] < 0 for r in self._fixed_regions):
+            return []
         basis = [d.coeffs for d in self._periodic.basis]
         rank = len(basis)
-        rows = [br + (c,) for br, c in zip(self._basis_rows, d0.coeffs)]
-        cuts = self._corner_cut_rows(xg, yg, d0.coeffs, basis)
+        rows = []
+        for members in self._directions.values():
+            best, bg = members[0]
+            for r, g in members[1:]:
+                if base[r] * bg < base[best] * g:
+                    best, bg = r, g
+            rows.append(self._basis_rows[best] + (base[best],))
+        cuts = self._corner_cut_rows(xg, yg, base, basis)
         if cuts is None:
             return []
         rows.extend(cuts)
@@ -344,8 +370,8 @@ class DomainCalculator:
             ) from err
         out = []
         for t in ts:
-            coeffs = tuple(
-                d0.coeffs[r] + sum(t[j] * basis[j][r] for j in range(rank))
+            coeffs = base if not rank else tuple(
+                base[r] + sum(t[j] * basis[j][r] for j in range(rank))
                 for r in range(self.num_unpointed)
             )
             if any(v < 0 for v in coeffs):

@@ -4,6 +4,10 @@ Everything here runs on a nice diagram: each positive index-1 domain is
 then an empty embedded bigon or rectangle carrying exactly one curve, so
 the GF(2) differential is a finite count.  The count splits by J+ into
 d0 (J+ = 0) and d1 (J+ = 2); both are differentials and they commute.
+A bigon moves one point and a rectangle two, so build_boundary scans only
+the grading-adjacent pairs that differ in at most two points; find_diffs
+still scans any pair it is given, and raises FloerError on an index-1
+domain that is not a bigon or rectangle with J+ in {0, 2}.
 The contact class lives in the distinguished generator's class, and its
 spectral order is computed from the two-level piece C1 -> C0 anchored
 there: reduce by the minimal subspace K, run the delta = d0 d1^{-1}
@@ -325,12 +329,18 @@ class NiceComplex:
         for dom in self.calc.find_pos_domains(i, j):
             if self.calc.maslov_index(dom) != 1:
                 continue
+            # the theorem build_boundary's near-pair pruning rests on
             em2 = self.calc._em2_total(self.calc._full_coeffs(dom))
-            assert em2 in (0, 1), "index-1 domain on a nice diagram must " \
-                "be a bigon or a rectangle"
+            if em2 not in (0, 1):
+                raise FloerError("index-1 domain on a nice diagram must be "
+                                 "a bigon or a rectangle")
             jp = self.calc.j_plus(dom)
-            assert jp in (0, 2)
-            assert em2 == 0 or jp == 0  # bigons always have J+ = 0
+            if jp not in (0, 2):
+                raise FloerError("index-1 domain %d -> %d has J+ = %d, not "
+                                 "0 or 2" % (i, j, jp))
+            if em2 and jp:
+                raise FloerError("bigon %d -> %d has J+ = %d; bigons always "
+                                 "have J+ = 0" % (i, j, jp))
             if jp == 0:
                 j0 += 1
             else:
@@ -354,6 +364,11 @@ class NiceComplex:
             top, bot = max(gr.values()), min(gr.values())
             levels = tuple(range(top, bot - 1, -1))
         basis = {g: tuple(i for i in members if gr[i] == g) for g in levels}
+        # An index-1 positive domain is a bigon (one point moves) or a
+        # rectangle (two move), so only pairs that differ in at most two
+        # points can have a nonzero count.
+        gens = self.calc.dg.generators()
+        points = {i: frozenset(gens[i].points) for i in members}
 
         entries = {}
         d_hat, d0, d1 = {}, {}, {}
@@ -365,7 +380,7 @@ class NiceComplex:
             for i in basis[s]:
                 b_hat = b0 = b1 = 0
                 for pos, j in enumerate(basis[t]):
-                    if dv and i == j:
+                    if (dv and i == j) or len(points[i] ^ points[j]) > 4:
                         continue
                     e = self.find_diffs(i, j)
                     if e.count:
@@ -416,7 +431,9 @@ class NiceComplex:
             out_rank = sd.d_hat[g].rank() if g in sd.d_hat else 0
             in_rank = sd.d_hat[src].rank() if src in sd.d_hat else 0
             r = len(sd.basis[g]) - out_rank - in_rank
-            assert r >= 0
+            if r < 0:
+                raise FloerError("negative homology rank %d in class %d at "
+                                 "level %s" % (r, class_index, g))
             ranks.append((g, r))
             total += r
         return HomologyResult(class_index, sd.div, tuple(ranks), total)

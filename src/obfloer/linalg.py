@@ -368,12 +368,13 @@ def lattice_points(rows, nvars):
 
     Raises UnboundedPolytopeError when the feasible set is unbounded in some
     coordinate over a feasible prefix (exact, via the projection chain).
+    With no variables every row is a constant and no projection runs.
     """
+    if nvars == 0:
+        return [] if any(row[0] < 0 for row in rows) else [()]
     chain = fm_chain(rows, nvars)
     if any(row[0] < 0 for row in chain[0]):
         return []
-    if nvars == 0:
-        return [()]
     out = []
     prefix = []
 

@@ -1,8 +1,13 @@
+import os
 import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
 from obfloer.diagram import build_diagram, parse_region_list
+from obfloer.nicefy import random_push
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
 
@@ -13,6 +18,57 @@ def load_region_list(name):
 
 def load_diagram(name):
     return build_diagram(load_region_list(name))
+
+
+def pushed_variant(name, pushes, seed):
+    """The fixture's region list after `pushes` seeded random finger moves."""
+    rl = load_region_list(name)
+    rng = random.Random("%s/%d/%d" % (name, pushes, seed))
+    for _ in range(pushes):
+        rl = random_push(rl, rng)
+    return rl
+
+
+class _Pick:
+    """Stands in for an rng so that random_push takes candidate k."""
+
+    def __init__(self, k):
+        self.k = k
+        self.n = None
+
+    def randrange(self, n):
+        self.n = n
+        return min(self.k, n - 1)
+
+
+def one_push_variants(name):
+    """Region lists of every one-push variant of the fixture, in order."""
+    rl = load_region_list(name)
+    out, k = [], 0
+    while True:
+        pick = _Pick(k)
+        moved = random_push(rl, pick)
+        if moved is None or k >= pick.n:
+            return out
+        out.append(moved)
+        k += 1
+
+
+SRC = FIXTURES.parent / "src"
+
+
+def run_cli_optimized(args, prelude=""):
+    """Run obfloer.cli.main(args) in a `python -O` subprocess, where every
+    assert is stripped; prelude is Python run first (to patch the package).
+    Returns (exit code, stdout, stderr)."""
+    code = "%s\nimport sys\nfrom obfloer.cli import main\nsys.exit(main(%r))" % (
+        prelude, [str(a) for a in args])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture(scope="session")

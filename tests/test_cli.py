@@ -14,7 +14,7 @@ from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex
 from obfloer.nicefy import is_nice
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_cli_optimized
 
 DEMOS = FIXTURES.parent / "demos"
 
@@ -194,6 +194,20 @@ def test_homology_inadmissible_refused(tmp_path, capsys):
                      "--out-dir", tmp_path)
     assert rc == 3
     assert "admissible" in err
+
+
+def test_refusal_and_internal_error_under_python_O(tmp_path):
+    # exit codes 3 and 4 do not depend on asserts, which -O strips
+    rc, _, err = run_cli_optimized(["homology", "--input", fix("sphere4"),
+                                    "--out-dir", tmp_path])
+    assert rc == 3
+    assert "admissible" in err
+    rc, _, err = run_cli_optimized(
+        ["homology", "--input", fix("s3_overtwisted"), "--out-dir", tmp_path],
+        prelude="from obfloer.domains import DomainCalculator\n"
+                "DomainCalculator.j_plus = lambda self, dom: 1")
+    assert rc == 4
+    assert "internal error: index-1 domain 1 -> 0 has J+ = 1" in err
 
 
 def test_contact_and_order_tight(tmp_path, capsys):

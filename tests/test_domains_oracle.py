@@ -8,7 +8,6 @@ give the same SpinCTable and the same positive domains, on every fixture
 and on seeded finger-moved variants.
 """
 
-import random
 from math import gcd
 
 import pytest
@@ -21,9 +20,14 @@ from obfloer.domains import (
     SpinCTable,
 )
 from obfloer.linalg import IntSolver, UnboundedPolytopeError, lattice_points
-from obfloer.nicefy import make_nice, random_push
+from obfloer.nicefy import make_nice
 
-from conftest import FIXTURES, load_region_list
+from conftest import (
+    FIXTURES,
+    load_region_list,
+    one_push_variants,
+    pushed_variant,
+)
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 
@@ -180,14 +184,6 @@ def check_against_oracles(dg):
     return calc, checked
 
 
-def _variant(name, pushes, seed):
-    rl = load_region_list(name)
-    rng = random.Random("%s/%d/%d" % (name, pushes, seed))
-    for _ in range(pushes):
-        rl = random_push(rl, rng)
-    return build_diagram(rl)
-
-
 # Sphere with alpha and beta meeting in four points and the two basepoints
 # in the bigons on the same sides of both curves: every full periodic
 # domain covers both basepoints equally, so pairs of generators whose
@@ -220,35 +216,12 @@ def test_fixture_matches_oracles(name):
 
 @pytest.mark.parametrize("pushes,seed", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_r22_variants_match_oracles(pushes, seed):
-    _, checked = check_against_oracles(_variant("r22", pushes, seed))
+    _, checked = check_against_oracles(
+        build_diagram(pushed_variant("r22", pushes, seed)))
     assert checked > 0
 
 
-class _Pick:
-    """Stands in for an rng so that random_push takes candidate k."""
-
-    def __init__(self, k):
-        self.k = k
-        self.n = None
-
-    def randrange(self, n):
-        self.n = n
-        return min(self.k, n - 1)
-
-
-def _one_push_variants(name):
-    rl = load_region_list(name)
-    out, k = [], 0
-    while True:
-        pick = _Pick(k)
-        moved = random_push(rl, pick)
-        if moved is None or k >= pick.n:
-            return out
-        out.append(moved)
-        k += 1
-
-
-R6_ONE_PUSH = _one_push_variants("r6")
+R6_ONE_PUSH = one_push_variants("r6")
 
 
 def test_r6_has_fourteen_one_push_variants():

@@ -183,6 +183,28 @@ def test_find_diffs_rejects_bad_pairs(nc_ot, nc_l21):
         nc_ot.find_diffs(1, 2)  # same grading
 
 
+def test_index1_invariants_are_typed_errors(s3_overtwisted, monkeypatch):
+    # the near-pair pruning rests on every index-1 domain being a bigon or
+    # a rectangle with J+ in {0, 2}; find_diffs raises FloerError, not an
+    # assert that python -O would strip
+    monkeypatch.setattr(DomainCalculator, "j_plus", lambda self, dom: 1)
+    nc = NiceComplex(DomainCalculator(s3_overtwisted))
+    with pytest.raises(FloerError, match="J\\+ = 1, not 0 or 2"):
+        nc.find_diffs(1, 0)
+    monkeypatch.setattr(DomainCalculator, "j_plus", lambda self, dom: 2)
+    with pytest.raises(FloerError, match="bigons always have J\\+ = 0"):
+        NiceComplex(DomainCalculator(s3_overtwisted)).find_diffs(1, 0)
+
+
+def test_negative_homology_rank_is_a_typed_error(s3_overtwisted,
+                                                  monkeypatch):
+    nc = NiceComplex(DomainCalculator(s3_overtwisted))
+    nc.build_boundary(0)
+    monkeypatch.setattr(F2Map, "rank", lambda self: 5)
+    with pytest.raises(FloerError, match="negative homology rank"):
+        nc.compute_homology(0)
+
+
 def test_inadmissible_diagram_fails_at_boundary_build(sphere4):
     # construction only needs the partition
     nc = NiceComplex(DomainCalculator(sphere4))

@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from fractions import Fraction
 
+from obfloer import linalg
 from obfloer.linalg import (
     F2Map,
     F2Quotient,
@@ -276,6 +277,21 @@ def test_lattice_points_frozen():
     assert lattice_points([(-1,)], 0) == []
     # narrow rational slab with no integer inside: 1/3 <= x <= 2/3
     assert lattice_points([(3, -1), (-3, 2)], 1) == []
+
+
+@pytest.mark.parametrize("rows", [
+    [], [(0,)], [(0,), (3,)], [(2,), (0,), (-1,)], [(-5,)],
+])
+def test_lattice_points_without_variables_skips_projection(rows,
+                                                           monkeypatch):
+    # the projection path's answer: [] iff S_0 holds a negative constant
+    want = [] if any(r[0] < 0 for r in linalg.fm_chain(rows, 0)[0]) else [()]
+
+    def no_projection(rows, nvars):
+        raise AssertionError("fm_chain called with no variables")
+
+    monkeypatch.setattr(linalg, "fm_chain", no_projection)
+    assert lattice_points(rows, 0) == want
 
 
 def test_lattice_points_unbounded():
