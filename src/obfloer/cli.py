@@ -78,7 +78,8 @@ class _Engines:
 
     analyze and general plots read the calculator; homology, contact,
     order and nice plots share one NiceComplex built on that calculator.
-    name is the stem of the diagram's DOT plots (default: its own name).
+    name is the stem of the diagram's DOT plots and of homology's
+    per-class differentials file (default: the diagram's own name).
     """
 
     def __init__(self, dg, name=None):
@@ -136,8 +137,8 @@ def _diff_lines(calc, diffs):
     lines = []
     for (i, j) in sorted(diffs):
         doms = diffs[(i, j)]
-        j0 = sum(1 for d in doms if calc.j_plus(d) == 0)
-        j2 = sum(1 for d in doms if calc.j_plus(d) == 2)
+        jps = [calc.j_plus(d) for d in doms]
+        j0, j2 = jps.count(0), jps.count(2)
         lines.append(
             "x%d -> x%d : count=%d J0=%d J2=%d" % (i, j, len(doms), j0, j2))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -174,7 +175,7 @@ def cmd_analyze(cfg, eng, out):
         "regions": dg.num_regions,
         "pointed": dg.num_pointed,
         "curves": dg.num_curves,
-        "b1": dg.b1_diagram,
+        "b1": calc.periodic_domain_basis().rank,
         "generators": len(dg.generators()),
         "spinc_classes": len(table.classes),
         "nice": is_nice(dg),
@@ -250,9 +251,11 @@ def cmd_homology(cfg, eng, out):
     base = _safe_name(eng.dg.name)
     out.write(base + "_homology.json", _dumps(doc))
     if cfg.spinc is not None:
+        # named from the engine stem: under `all` on a raw diagram, analyze
+        # has already written the raw diagram's class under the plain name
         sd = nc.build_boundary(ks[0])
-        out.write(base + "_differentials_in_spinc_%d.txt" % ks[0],
-                  _entry_lines(sd.entries))
+        out.write(_safe_name(eng.name) + "_differentials_in_spinc_%d.txt"
+                  % ks[0], _entry_lines(sd.entries))
     if cfg.dot:
         _emit_dots(eng, ks, out)
     return doc

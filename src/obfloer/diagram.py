@@ -27,8 +27,6 @@ from ast import literal_eval
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import integer_kernel_basis
-
 
 class DiagramError(Exception):
     """Base class for everything this module raises on bad input."""
@@ -182,14 +180,6 @@ def euler_measure_2(region):
     return 2 * (2 - len(region)) - corners // 2
 
 
-def point_measure_4(region, point):
-    """Four times the local corner measure: the number of corner occurrences
-    of `point` in the region (each occurrence is one quadrant)."""
-    if region and isinstance(region[0], int):
-        region = (region,)
-    return sum(1 for c in region for x in c if x == point)
-
-
 def circuit_alpha_arcs(circuit):
     return [(circuit[i], circuit[i + 1]) for i in range(0, len(circuit), 2)]
 
@@ -282,9 +272,9 @@ class HeegaardDiagram:
       contact_aligned           : whether beta indexing realizes the identity
                                   permutation on the contact tuple
       euler_measures_2          : per region
-      point_measures_4          : [region][point]
+      point_measures_4          : [region][point], corner occurrences of
+                                  the point in the region (one quadrant each)
       boundary_mat              : [point][region], built from beta arcs
-      b1_diagram                : rank of the unpointed kernel
     """
 
     def __init__(self, region_list):
@@ -369,25 +359,16 @@ class HeegaardDiagram:
         self.beta_of = tuple(self.beta_of)
 
         self.euler_measures_2 = tuple(euler_measure_2(reg) for reg in rl.regions)
-        self.point_measures_4 = tuple(
-            tuple(point_measure_4(reg, p) for p in range(self.num_points))
-            for reg in rl.regions
-        )
-
+        pm4 = [[0] * self.num_points for _ in range(self.num_regions)]
         bmat = [[0] * self.num_regions for _ in range(self.num_points)]
-        amat = [[0] * self.num_regions for _ in range(self.num_points)]
         for r, reg in enumerate(rl.regions):
             for cir in reg:
+                for c in cir:
+                    pm4[r][c] += 1
                 for a, b in circuit_beta_arcs(cir):
                     bmat[b][r] += 1
                     bmat[a][r] -= 1
-                for a, b in circuit_alpha_arcs(cir):
-                    amat[b][r] += 1
-                    amat[a][r] -= 1
-        for p in range(self.num_points):
-            for r in range(self.num_regions):
-                assert amat[p][r] == -bmat[p][r], "alpha/beta boundary mismatch"
-        assert all(sum(col) == 0 for col in zip(*bmat)), "column sums nonzero"
+        self.point_measures_4 = tuple(tuple(row) for row in pm4)
         self.boundary_mat = tuple(tuple(row) for row in bmat)
 
         # mass formula: sum of doubled Euler measures = 2*chi(surface);
@@ -411,14 +392,6 @@ class HeegaardDiagram:
                 "odd Euler characteristic %d: not a closed oriented surface"
                 % (total // 2)
             )
-
-        unpointed_cols = [
-            [bmat[p][r] for r in range(self.num_unpointed)]
-            for p in range(self.num_points)
-        ]
-        self.b1_diagram = len(
-            integer_kernel_basis(unpointed_cols, ncols=self.num_unpointed)
-        )
 
         self._generators = None
 

@@ -129,9 +129,6 @@ class DomainCalculator:
         kb = IntSolver(
             diagram.boundary_mat, ncols=self.num_unpointed
         ).kernel_basis()
-        if len(kb) != diagram.b1_diagram:
-            raise DomainError(
-                "periodic rank %d != b1 %d" % (len(kb), diagram.b1_diagram))
         self._periodic = PeriodicDomainGroup(
             basis=tuple(Domain(tuple(v), 0, 0) for v in kb), rank=len(kb)
         )
@@ -162,7 +159,6 @@ class DomainCalculator:
         ]
         self._gens = diagram.generators()
         self._potentials = None
-        self._contact_corners = None
         self._admissible = None
         self._edges = None
         self._point_fans = None
@@ -286,52 +282,6 @@ class DomainCalculator:
         coeffs = tuple(b - a for a, b in zip(qx, qy))
         return self._check_boundary(FullDomain(coeffs, xg.index, yg.index))
 
-    def _corner_cut_rows(self, xg, yg, base, basis):
-        """Pruning rows from the two-corner pinning at moving contact points.
-
-        At a contact point of an open-book diagram only two of the four
-        corner occurrences lie in unpointed regions, and both sit on the
-        same side (same sign) of the point's boundary equation.  A hat
-        domain's net multiplicity at the point is therefore carried
-        entirely by that unpointed pair: when the point moves between the
-        generators the pair's coefficients must total 1 (one corner region
-        carries 1, the other 0) or the equation has no nonnegative solution
-        at all.  The per-region caps are valid inequality cuts for the
-        integer scan; infeasibility is reported as None so the caller can
-        skip the scan entirely.
-        """
-        if self._contact_corners is None:
-            corners = {}
-            for c in self.dg.contact_points:
-                # unpointed occurrence multiplicity by corner parity
-                cnt = ({}, {})
-                for r, _, i in self.dg.corner_occurrences(c):
-                    if not self.dg.is_pointed(r):
-                        d = cnt[i % 2]
-                        d[r] = d.get(r, 0) + 1
-                corners[c] = cnt
-            self._contact_corners = corners
-        xset, yset = set(xg.points), set(yg.points)
-        rows = []
-        for c in self._contact_corners.keys() & (xset ^ yset):
-            rhs = 1 if c in xset else -1
-            cnt = self._contact_corners[c]
-            if cnt[0] and cnt[1]:
-                continue  # both signs live: nothing to pin
-            if cnt[0]:
-                live, total = cnt[0], rhs  # even corners add, odd subtract
-            elif cnt[1]:
-                live, total = cnt[1], -rhs
-            else:
-                return None  # every corner pointed: boundary equation 0 = rhs
-            if total < 0:
-                return None  # nonnegative coefficients cannot sum to -1
-            for r, m in live.items():
-                # m * coeff[r] <= 1 along the affine family base + t.basis
-                lin = tuple(-m * b[r] for b in basis)
-                rows.append(lin + (1 - m * base[r],))
-        return rows
-
     def find_pos_domains(self, x, y):
         """Every nonnegative hat domain from x to y, sorted by coefficients.
 
@@ -357,10 +307,6 @@ class DomainCalculator:
                 if base[r] * bg < base[best] * g:
                     best, bg = r, g
             rows.append(self._basis_rows[best] + (base[best],))
-        cuts = self._corner_cut_rows(xg, yg, base, basis)
-        if cuts is None:
-            return []
-        rows.extend(cuts)
         try:
             ts = lattice_points(rows, rank)
         except UnboundedPolytopeError as err:

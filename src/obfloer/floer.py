@@ -218,7 +218,8 @@ def reduce_by_K(d0, d1):
     lifts = [dom.lift(1 << t) for t in range(dom.dim())]
     d0bar = F2Map([cod.project(d0.apply(w)) for w in lifts], cod.dim())
     d1bar = F2Map([cod.project(d1.apply(w)) for w in lifts], cod.dim())
-    assert d1bar.rank() == dom.dim(), "reduced d1 must be injective"
+    if d1bar.rank() != dom.dim():
+        raise FloerError("reduced d1 must be injective")
     return ReducedPair(K, d0bar, d1bar, dom, cod)
 
 
@@ -229,9 +230,11 @@ def order_from_split(d0, d1, x):
     case is decided by the delta = d0 d1^{-1} iteration on the image of
     the reduced d1 and certified by an explicit zigzag lift.
     """
-    if d0.solve(x) is not None:
-        chains = (d0.solve(x),)
-        assert check_zigzag(d0, d1, x, chains)
+    b0 = d0.solve(x)
+    if b0 is not None:
+        chains = (b0,)
+        if not check_zigzag(d0, d1, x, chains):
+            raise FloerError("order 0 certificate fails its zigzag check")
         return OrderResult(0, chains, None, None)
 
     red = reduce_by_K(d0, d1)
@@ -280,7 +283,9 @@ def order_from_split(d0, d1, x):
         if affine_meets_subspace(xbar, list(red.d0bar.cols),
                                  hit_space) is not None:
             chains = _lift_zigzag(d0, d1, x, k)
-            assert check_zigzag(d0, d1, x, chains)
+            if not check_zigzag(d0, d1, x, chains):
+                raise FloerError(
+                    "order %d certificate fails its zigzag check" % k)
             return OrderResult(k, chains, None, m)
     return OrderResult(None, (), "ker delta^%d misses x + im d0" % m, m)
 
@@ -495,8 +500,9 @@ class NiceComplex:
         # finite order
         if (contact == "zero" and sd.div == 0
                 and not any(self.table.chern[xi])):
-            assert res.value is not None, \
-                "zero contact class with finite-order obstruction missing"
+            if res.value is None:
+                raise FloerError(
+                    "zero contact class with finite-order obstruction missing")
         return res
 
 

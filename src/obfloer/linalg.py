@@ -67,25 +67,6 @@ def _column_echelon(mat, ncols=None):
     return cols, ucols, pivots
 
 
-def integer_kernel_basis(mat, ncols=None):
-    """Basis of the lattice {v in ZZ^n : M v = 0}, sorted, with positive
-    leading entries.
-
-    The basis spans the whole kernel lattice (not just a finite-index
-    sublattice): the vectors are columns of a unimodular matrix.
-    """
-    cols, ucols, pivots = _column_echelon(mat, ncols)
-    out = []
-    for j in range(len(pivots), len(cols)):
-        v = ucols[j]
-        lead = next((x for x in v if x != 0), 0)
-        if lead < 0:
-            v = [-x for x in v]
-        out.append(v)
-    out.sort()
-    return out
-
-
 class IntSolver:
     """Prepared solver for M x = b over ZZ: echelonize once, solve many b."""
 
@@ -141,6 +122,10 @@ class IntSolver:
         return self.apply_u(y)
 
     def kernel_basis(self):
+        """Basis of the lattice {v in ZZ^n : M v = 0}, sorted, with positive
+        leading entries.  The vectors are columns of the unimodular U, so
+        they span the whole kernel lattice, not a finite-index sublattice.
+        """
         out = []
         for j in range(len(self.pivots), self.ncols):
             v = self.ucols[j]
@@ -406,32 +391,6 @@ def lattice_points(rows, nvars):
             prefix.pop()
 
     scan(0)
-    return out
-
-
-def polytope_box_bounds(rows, nvars):
-    """Exact per-coordinate ranges of {t : a . t + c >= 0 for each row}.
-
-    None when the polytope is empty; otherwise a list of (lo, hi) pairs of
-    Fractions, a side being None when unbounded in that direction.
-    """
-    chain = fm_chain(rows, nvars)
-    if any(row[0] < 0 for row in chain[0]):
-        return None
-    out = []
-    for j in range(nvars):
-        perm = [j] + [i for i in range(nvars) if i != j]
-        rr = [tuple(row[i] for i in perm) + (row[-1],) for row in rows]
-        proj = fm_chain(rr, nvars)[1] if nvars else []
-        lo = hi = None
-        for a, c in proj:
-            if a > 0:
-                v = Fraction(-c, a)
-                lo = v if lo is None or v > lo else lo
-            elif a < 0:
-                v = Fraction(-c, a)
-                hi = v if hi is None or v < hi else hi
-        out.append((lo, hi))
     return out
 
 

@@ -1,12 +1,16 @@
+import itertools
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from obfloer.diagram import build_diagram, parse_region_list
+from obfloer.linalg import fm_chain
 from obfloer.nicefy import random_push
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
@@ -52,6 +56,64 @@ def one_push_variants(name):
             return out
         out.append(moved)
         k += 1
+
+
+def polytope_box_bounds(rows, nvars):
+    """Exact per-coordinate ranges of {t : a . t + c >= 0 for each row}.
+
+    None when the polytope is empty; otherwise a list of (lo, hi) pairs of
+    Fractions, a side being None when unbounded in that direction.
+    """
+    chain = fm_chain(rows, nvars)
+    if any(row[0] < 0 for row in chain[0]):
+        return None
+    out = []
+    for j in range(nvars):
+        perm = [j] + [i for i in range(nvars) if i != j]
+        rr = [tuple(row[i] for i in perm) + (row[-1],) for row in rows]
+        proj = fm_chain(rr, nvars)[1] if nvars else []
+        lo = hi = None
+        for a, c in proj:
+            if a > 0:
+                v = Fraction(-c, a)
+                lo = v if lo is None or v > lo else lo
+            elif a < 0:
+                v = Fraction(-c, a)
+                hi = v if hi is None or v < hi else hi
+        out.append((lo, hi))
+    return out
+
+
+def box_scan(calc, x, y):
+    """Coefficients of the positive hat domains x -> y, sorted, by plain
+    enumeration of the polytope's bounding box: one row per unpointed
+    region, no pruning."""
+    d0 = calc.connecting_domain(x, y)
+    if d0 is None:
+        return []
+    basis = [p.coeffs for p in calc.periodic_domain_basis().basis]
+    rank = len(basis)
+    if rank == 0:
+        return [d0.coeffs] if all(c >= 0 for c in d0.coeffs) else []
+    rows = [
+        tuple(b[r] for b in basis) + (d0.coeffs[r],)
+        for r in range(calc.num_unpointed)
+    ]
+    bounds = polytope_box_bounds(rows, rank)
+    if bounds is None:
+        return []
+    assert all(lo is not None and hi is not None for lo, hi in bounds)
+    out = []
+    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds]
+    for t in itertools.product(*ranges):
+        coeffs = tuple(
+            d0.coeffs[r] + sum(t[j] * basis[j][r] for j in range(rank))
+            for r in range(calc.num_unpointed)
+        )
+        if all(c >= 0 for c in coeffs):
+            out.append(coeffs)
+    out.sort()
+    return out
 
 
 SRC = FIXTURES.parent / "src"

@@ -1,23 +1,22 @@
 """End-to-end acceptance checks, one test per contract.
 
-Each test is self-contained: expected values come from hand reductions or
-from exhaustive searches written directly in this file with their own
-GF(2) helpers, so a bug in the library's linear algebra cannot hide
-itself.  Stated runtime budgets are asserted, not just hoped for.
+Expected values come from hand reductions or from exhaustive searches
+written in the tests (this file, with its own GF(2) helpers, and the box
+scan shared through conftest.py), so a bug in the library's linear
+algebra cannot hide itself.  Stated runtime budgets are asserted, not
+just hoped for.
 """
 
-import itertools
-import math
 import random
 import time
 
 from obfloer.diagram import build_diagram
 from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex, order_from_split
-from obfloer.linalg import F2Map, polytope_box_bounds
+from obfloer.linalg import F2Map
 from obfloer.nicefy import is_nice, make_nice, random_push
 
-from conftest import load_diagram, load_region_list
+from conftest import box_scan, load_diagram, load_region_list
 
 
 # -- independent GF(2) helpers (no imports from the library) -----------------
@@ -101,34 +100,6 @@ def test_positive_domain_count_bound():
 # -- 4: pruned scan against plain box enumeration ------------------------------
 
 
-def _box_scan(calc, x, y):
-    dom = calc.connecting_domain(x, y)
-    if dom is None:
-        return []
-    basis = [p.coeffs for p in calc.periodic_domain_basis().basis]
-    rank = len(basis)
-    if rank == 0:
-        return [dom.coeffs] if all(c >= 0 for c in dom.coeffs) else []
-    rows = [
-        tuple(b[r] for b in basis) + (dom.coeffs[r],)
-        for r in range(calc.num_unpointed)
-    ]
-    bounds = polytope_box_bounds(rows, rank)
-    if bounds is None:
-        return []
-    out = []
-    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds]
-    for t in itertools.product(*ranges):
-        coeffs = tuple(
-            dom.coeffs[r] + sum(t[j] * basis[j][r] for j in range(rank))
-            for r in range(calc.num_unpointed)
-        )
-        if all(c >= 0 for c in coeffs):
-            out.append(coeffs)
-    out.sort()
-    return out
-
-
 def test_positive_domain_scan_oracle():
     t0 = time.monotonic()
     bases = ["s3_overtwisted", "l21", "l31", "octa2", "r6", "s3_wiggle",
@@ -158,7 +129,7 @@ def test_positive_domain_scan_oracle():
         for x in dg.generators():
             for y in dg.generators():
                 got = [d.coeffs for d in calc.find_pos_domains(x.index, y.index)]
-                assert got == _box_scan(calc, x.index, y.index), \
+                assert got == box_scan(calc, x.index, y.index), \
                     (rl.name, x.index, y.index)
     assert time.monotonic() - t0 < 60.0
 

@@ -208,6 +208,12 @@ def test_refusal_and_internal_error_under_python_O(tmp_path):
                 "DomainCalculator.j_plus = lambda self, dom: 1")
     assert rc == 4
     assert "internal error: index-1 domain 1 -> 0 has J+ = 1" in err
+    rc, _, err = run_cli_optimized(
+        ["order", "--input", fix("s3_overtwisted"), "--out-dir", tmp_path],
+        prelude="import obfloer.floer\n"
+                "obfloer.floer.check_zigzag = lambda *args: False")
+    assert rc == 4
+    assert "internal error: order 0 certificate fails" in err
 
 
 def test_contact_and_order_tight(tmp_path, capsys):
@@ -339,6 +345,26 @@ def test_all_dot_writes_raw_and_nice_plots_once_each(tmp_path, capsys):
     for name in raw:
         assert ((tmp_path / "all" / name).read_bytes()
                 == (tmp_path / "plot" / name).read_bytes())
+
+
+def test_all_spinc_writes_raw_and_nice_differentials_once_each(tmp_path,
+                                                              capsys):
+    rc, out, _ = run(capsys, "all", "--input", fix("r6"), "--out-dir",
+                     tmp_path / "all", "--spinc", 0)
+    assert rc == 0
+    wrote = [line for line in out.splitlines() if line.startswith("wrote ")]
+    assert len(wrote) == len(set(wrote))
+    # the raw diagram's class 0 is analyze's, the made-nice diagram's class
+    # 0 is homology's on the nice diagram
+    for cmd, src, name in (
+            ("analyze", fix("r6"), "r6_differentials_in_spinc_0.txt"),
+            ("homology", tmp_path / "all/r6_nice.json",
+             "r6_nice_differentials_in_spinc_0.txt")):
+        rc, _, _ = run(capsys, cmd, "--input", src, "--out-dir",
+                       tmp_path / cmd, "--spinc", 0)
+        assert rc == 0
+        want = (tmp_path / cmd / "r6_differentials_in_spinc_0.txt").read_text()
+        assert (tmp_path / "all" / name).read_text() == want
 
 
 def test_all_skips_makenice_when_nice(tmp_path, capsys):

@@ -10,14 +10,28 @@ from obfloer.diagram import (
     PointDegreeError,
     RegionListError,
     build_diagram,
+    circuit_alpha_arcs,
+    circuit_beta_arcs,
     euler_measure_2,
     make_region_list,
     parse_region_list,
-    point_measure_4,
     region_list_to_json,
 )
+from obfloer.domains import DomainCalculator
 
-from conftest import load_diagram, load_region_list
+from conftest import FIXTURES, load_diagram, load_region_list, pushed_variant
+
+# every fixture (no push) and seeded finger-moved variants of those that
+# admit a push
+MEASURED = [(p.stem, 0, 0) for p in sorted(FIXTURES.glob("*.json"))] + [
+    (name, pushes, seed)
+    for name in ("r6", "r22", "s1s2", "octa2", "s3_wiggle")
+    for pushes, seed in ((1, 1), (2, 2))
+] + [("r6", 3, 3), ("r22", 3, 3), ("s3_wiggle", 3, 3)]
+
+
+def _b1(d):
+    return DomainCalculator(d).periodic_domain_basis().rank
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +100,41 @@ def test_euler_measure_2_values():
     assert euler_measure_2([[1, 0, 1, 0], [2, 3, 2, 3]]) == -4
 
 
-def test_point_measure_4_values():
-    assert point_measure_4([1, 0, 19, 20, 13, 14], 19) == 1
-    assert point_measure_4([13, 12, 23, 22, 11, 12, 21, 22], 12) == 2
-    assert point_measure_4([13, 12, 23, 22, 11, 12, 21, 22], 5) == 0
-    assert point_measure_4([[0, 1], [2, 0]], 0) == 2
+@pytest.mark.parametrize("name,pushes,seed", MEASURED)
+def test_point_measures_4_match_corner_occurrences(name, pushes, seed):
+    d = build_diagram(pushed_variant(name, pushes, seed))
+    want = [[0] * d.num_points for _ in range(d.num_regions)]
+    for p in range(d.num_points):
+        for r, _, _ in d.corner_occurrences(p):
+            want[r][p] += 1
+    assert [list(row) for row in d.point_measures_4] == want
+
+
+def test_point_measures_4_values(r22):
+    # r22's regions 0 = [1,0,19,20,13,14] and 11 = [13,12,23,22,11,12,21,22]
+    assert r22.point_measures_4[0][19] == 1
+    assert r22.point_measures_4[11][12] == 2
+    assert r22.point_measures_4[11][5] == 0
+
+
+@pytest.mark.parametrize("name,pushes,seed", MEASURED)
+def test_boundary_identities(name, pushes, seed):
+    # each corner is the head of one arc of its circuit and the tail of the
+    # next, so the alpha-arc boundary is minus the beta-arc boundary, and
+    # every column sums to zero
+    d = build_diagram(pushed_variant(name, pushes, seed))
+    amat = [[0] * d.num_regions for _ in range(d.num_points)]
+    bmat = [[0] * d.num_regions for _ in range(d.num_points)]
+    for r, reg in enumerate(d.regions):
+        for cir in reg:
+            for mat, arcs in ((amat, circuit_alpha_arcs(cir)),
+                              (bmat, circuit_beta_arcs(cir))):
+                for a, b in arcs:
+                    mat[b][r] += 1
+                    mat[a][r] -= 1
+    assert [list(row) for row in d.boundary_mat] == bmat
+    assert amat == [[-v for v in row] for row in bmat]
+    assert all(sum(col) == 0 for col in zip(*bmat))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +187,7 @@ def test_r22_structure(r22):
     assert r22.alpha_curves[0] == (0, 1, 2, 3, 4, 5)
     assert r22.alpha_curves[1] == (6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17)
     assert r22.alpha_curves[2] == (18, 19, 20, 21, 22, 23, 24, 25)
-    assert r22.b1_diagram == 2
+    assert _b1(r22) == 2
     g = r22.contact_generator()
     assert g.points == (0, 6, 18)
     assert g.permutation == (0, 1, 2)
@@ -161,19 +205,13 @@ def test_r22_boundary_column(r22):
     assert col == want
 
 
-def test_boundary_columns_sum_zero(r22, r6, s3_overtwisted):
-    for d in (r22, r6, s3_overtwisted):
-        for r in range(d.num_regions):
-            assert sum(d.boundary_mat[p][r] for p in range(d.num_points)) == 0
-
-
 def test_r6_structure(r6):
     assert r6.num_points == 10
     assert r6.num_regions == 6
     assert sum(r6.euler_measures_2) == -8 == 2 * (6 - 10)
     assert len(r6.alpha_curves) == len(r6.beta_curves) == 3
     assert r6.contact_points == (0, 4, 7)
-    assert r6.b1_diagram == 0
+    assert _b1(r6) == 0
     # unpointed polygon sizes: two hexagons, one octagon, two squares
     sizes = sorted(
         sum(len(c) for c in r6.regions[r]) for r in range(r6.num_unpointed)
@@ -186,22 +224,22 @@ def test_small_fixture_structure(s3_tight, s3_overtwisted, l21, sphere4):
     assert s3_tight.alpha_curves == ((0,),)
     assert s3_tight.num_curves == 1
     assert len(s3_tight.generators()) == 1
-    assert s3_tight.b1_diagram == 0
+    assert _b1(s3_tight) == 0
 
     assert s3_overtwisted.alpha_curves == ((0, 1, 2),)
     assert len(s3_overtwisted.generators()) == 3
     assert [s3_overtwisted.boundary_mat[p][2] for p in range(3)] == [2, -1, -1]
-    assert s3_overtwisted.b1_diagram == 0
+    assert _b1(s3_overtwisted) == 0
     assert sum(s3_overtwisted.euler_measures_2) == 0
 
     assert len(l21.generators()) == 2
-    assert l21.b1_diagram == 0
+    assert _b1(l21) == 0
     assert [l21.boundary_mat[p][0] for p in range(2)] == [-2, 2]
 
     assert sphere4.num_curves == 1
     assert len(sphere4.generators()) == 2
     assert sphere4.contact_generator().points == (0,)
-    assert sphere4.b1_diagram == 1  # the two unpointed lunes stack to a cylinder
+    assert _b1(sphere4) == 1  # the two unpointed lunes stack to a cylinder
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,12 @@ Frozen values below were produced by this package and spot-checked by hand
 positive-domain scans via a plain box enumeration).
 """
 
-import itertools
-import math
 import random
 
 import pytest
 import sympy
 
-from obfloer import domains
+from obfloer import domains, linalg
 from obfloer.cli import main
 from obfloer.diagram import build_diagram, make_region_list
 from obfloer.domains import (
@@ -22,9 +20,10 @@ from obfloer.domains import (
     DomainError,
     FullDomain,
 )
-from obfloer.linalg import IntSolver, polytope_box_bounds
+from obfloer.linalg import IntSolver
+from obfloer.nicefy import make_nice
 
-from conftest import FIXTURES, load_diagram
+from conftest import FIXTURES, box_scan, load_diagram
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +180,26 @@ def test_analyze_reduces_each_generator_once(tmp_path, monkeypatch):
     assert solves == []
 
 
+def test_echelon_forms_per_request(tmp_path, monkeypatch):
+    # building a diagram (make_nice builds one per finger move) echelons
+    # nothing; analyze echelons the full, the unpointed and the pointed
+    # lattice once each
+    calls = []
+    echelon = linalg._column_echelon
+
+    def counted(mat, ncols=None):
+        calls.append(ncols)
+        return echelon(mat, ncols)
+
+    monkeypatch.setattr(linalg, "_column_echelon", counted)
+    make_nice(load_diagram("r6"))
+    assert calls == []
+    rc = main(["analyze", "--input", str(FIXTURES / "r22.json"),
+               "--out-dir", str(tmp_path), "--format", "json"])
+    assert rc == 0
+    assert len(calls) == 3
+
+
 # -- positive-domain scans ---------------------------------------------------
 
 
@@ -220,42 +239,12 @@ def test_corner_bound_all_pairs_r22(calc_r22):
     assert total == 422
 
 
-def _box_scan(calc, x, y):
-    """Positive domains by plain box enumeration, no corner pruning."""
-    d0 = calc.connecting_domain(x, y)
-    if d0 is None:
-        return []
-    basis = [p.coeffs for p in calc.periodic_domain_basis().basis]
-    rank = len(basis)
-    if rank == 0:
-        return [d0.coeffs] if all(c >= 0 for c in d0.coeffs) else []
-    rows = [
-        tuple(b[r] for b in basis) + (d0.coeffs[r],)
-        for r in range(calc.num_unpointed)
-    ]
-    bounds = polytope_box_bounds(rows, rank)
-    if bounds is None:
-        return []
-    assert all(lo is not None and hi is not None for lo, hi in bounds)
-    out = []
-    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds]
-    for t in itertools.product(*ranges):
-        coeffs = tuple(
-            d0.coeffs[r] + sum(t[j] * basis[j][r] for j in range(rank))
-            for r in range(calc.num_unpointed)
-        )
-        if all(c >= 0 for c in coeffs):
-            out.append(coeffs)
-    out.sort()
-    return out
-
-
 def test_scan_matches_box_oracle(calc_r22, calc_r6):
     for calc in (calc_r6, calc_r22):
         for x in calc.dg.generators():
             for y in calc.dg.generators():
                 got = [d.coeffs for d in calc.find_pos_domains(x.index, y.index)]
-                assert got == _box_scan(calc, x.index, y.index), (x.index, y.index)
+                assert got == box_scan(calc, x.index, y.index), (x.index, y.index)
 
 
 # -- Maslov index, J+, domain type -------------------------------------------

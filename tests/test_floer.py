@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from obfloer import floer
 from obfloer.diagram import ContactConventionError
 from obfloer.domains import AdmissibilityError, DomainCalculator
 from obfloer.floer import (
@@ -203,6 +204,25 @@ def test_negative_homology_rank_is_a_typed_error(s3_overtwisted,
     monkeypatch.setattr(F2Map, "rank", lambda self: 5)
     with pytest.raises(FloerError, match="negative homology rank"):
         nc.compute_homology(0)
+
+
+def test_order_invariants_are_typed_errors(s3_overtwisted, monkeypatch):
+    # the order path raises FloerError, not an assert that python -O strips
+    nc = NiceComplex(DomainCalculator(s3_overtwisted))
+    monkeypatch.setattr(floer, "order_from_split",
+                        lambda d0, d1, x: OrderResult(None, (), "x", None))
+    with pytest.raises(FloerError, match="finite-order obstruction missing"):
+        nc.compute_order()
+    monkeypatch.undo()
+    monkeypatch.setattr(floer, "check_zigzag", lambda d0, d1, x, chains: False)
+    with pytest.raises(FloerError, match="order 0 certificate fails"):
+        order_from_split(F2Map([3, 0], 3), F2Map([4, 2], 3), 3)
+    with pytest.raises(FloerError, match="order 1 certificate fails"):
+        order_from_split(F2Map([0b011, 0b000], 3), F2Map([0b100, 0b010], 3),
+                         0b001)
+    monkeypatch.setattr(F2Map, "rank", lambda self: -1)
+    with pytest.raises(FloerError, match="reduced d1 must be injective"):
+        reduce_by_K(F2Map([3, 0], 3), F2Map([4, 2], 3))
 
 
 def test_inadmissible_diagram_fails_at_boundary_build(sphere4):

@@ -17,10 +17,10 @@ from obfloer.linalg import (
     UnboundedPolytopeError,
     affine_meets_subspace,
     cone_is_trivial,
-    integer_kernel_basis,
     lattice_points,
-    polytope_box_bounds,
 )
+
+from conftest import polytope_box_bounds
 
 
 def _mat_vec(mat, vec):
@@ -37,11 +37,11 @@ def _rank(mat):
 
 
 def test_kernel_frozen_small():
-    assert integer_kernel_basis([[1, 1]]) == [[1, -1]]
-    assert integer_kernel_basis([[1, 2], [2, 4]]) == [[2, -1]]
-    assert integer_kernel_basis([[1, 0], [0, 1]]) == []
+    assert IntSolver([[1, 1]]).kernel_basis() == [[1, -1]]
+    assert IntSolver([[1, 2], [2, 4]]).kernel_basis() == [[2, -1]]
+    assert IntSolver([[1, 0], [0, 1]]).kernel_basis() == []
     # zero matrix: kernel is everything, basis sorted with positive leads
-    assert integer_kernel_basis([[0, 0], [0, 0]]) == [[0, 1], [1, 0]]
+    assert IntSolver([[0, 0], [0, 0]]).kernel_basis() == [[0, 1], [1, 0]]
 
 
 def test_rank_frozen():
@@ -85,7 +85,7 @@ def test_kernel_is_saturated_basis():
     for _ in range(120):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = _random_mat(rng, m, n)
-        ker = integer_kernel_basis(mat)
+        ker = IntSolver(mat).kernel_basis()
         assert len(ker) == n - sympy.Matrix(mat).rank()
         for v in ker:
             assert _mat_vec(mat, v) == [0] * m
