@@ -20,3 +20,8 @@ echo
 echo "### a DOT plot of the overtwisted complex"
 python3 -m obfloer plot --input diagrams/s3_overtwisted.json --out-dir "$OUT"
 cat "$OUT/s3_overtwisted_spinc_0.dot"
+
+echo
+echo "### DOT plots of a diagram that is not nice (blue edges are disks)"
+python3 -m obfloer plot --input diagrams/s1s2.json --out-dir "$OUT"
+cat "$OUT/s1s2_spinc_0.dot" "$OUT/s1s2_spinc_1.dot"

@@ -103,9 +103,13 @@ class _Out:
         self.files = []
 
     def write(self, fname, text):
+        p = self.root / fname
+        if p in self.files:
+            # `all` on a nice input reaches its per-class differentials and
+            # plots from analyze and from homology, through one engine
+            return p
         # directory is created lazily so a failed run leaves nothing behind
         self.root.mkdir(parents=True, exist_ok=True)
-        p = self.root / fname
         p.write_text(text)
         self.files.append(p)
         log.info("wrote %s", p)

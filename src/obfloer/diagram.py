@@ -404,16 +404,6 @@ class HeegaardDiagram:
     def is_pointed(self, r):
         return r >= self.num_unpointed
 
-    def corner_occurrences(self, p):
-        """All (region, circuit, position) corner occurrences of point p."""
-        out = []
-        for r, reg in enumerate(self.regions):
-            for ci, cir in enumerate(reg):
-                for i, c in enumerate(cir):
-                    if c == p:
-                        out.append((r, ci, i))
-        return out
-
     def to_region_list(self):
         return RegionList(
             name=self.name, num_pointed=self.num_pointed, regions=self.regions
@@ -463,7 +453,10 @@ class HeegaardDiagram:
                 "the distinguished-point convention"
             )
         g = self.generator_by_points(self.contact_points)
-        assert g.permutation == tuple(range(self.num_curves))
+        if g.permutation != tuple(range(self.num_curves)):
+            raise DiagramError(
+                "beta curves are not indexed by the contact generator: %r"
+                % (g.permutation,))
         return g
 
 
@@ -477,20 +470,25 @@ class Generator:
 
     def cycles(self):
         """Number of disjoint cycles of the permutation."""
-        seen = set()
-        out = 0
-        for i in range(len(self.permutation)):
-            if i in seen:
-                continue
-            out += 1
-            j = i
-            while j not in seen:
-                seen.add(j)
-                j = self.permutation[j]
-        return out
+        return cycle_count(self.permutation)
 
     def __str__(self):
         return "{" + ",".join(str(p) for p in self.points) + "}"
+
+
+def cycle_count(perm):
+    """Number of disjoint cycles of a permutation of range(len(perm))."""
+    seen = set()
+    out = 0
+    for i in range(len(perm)):
+        if i in seen:
+            continue
+        out += 1
+        j = i
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+    return out
 
 
 def build_diagram(region_list):

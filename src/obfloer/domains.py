@@ -32,7 +32,8 @@ The calculator exposes:
     row per direction, and regions with no periodic row are a sign check
     on the solution before any scan;
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
-    switches, and the (J+, chi, b, g) shape of the underlying curve;
+    switches, and the (J+, chi, b, g) shape of the underlying curve, its
+    boundary circles read off the two generators' permutations;
   * spinc_partition / index1_differentials: SpinC classes (generators
     grouped by residue) with Chern numbers, divisibility, relative
     gradings, and the candidate differentials (positive index-1 domains
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .diagram import Generator
+from .diagram import Generator, cycle_count
 from .linalg import IntSolver, UnboundedPolytopeError, cone_is_trivial, lattice_points
 
 
@@ -105,17 +106,6 @@ class SpinCTable:
     gradings: tuple
 
 
-# one directed arc occurrence on a region circuit
-@dataclass(frozen=True)
-class _ArcOcc:
-    kind: str  # "a" or "b"
-    tail: int
-    head: int
-    region: int
-    start_corner: tuple  # (region, circuit, position) at tail
-    end_corner: tuple  # at head
-
-
 class DomainCalculator:
     """All domain-level computations for one diagram, with cached solvers."""
 
@@ -160,8 +150,6 @@ class DomainCalculator:
         self._gens = diagram.generators()
         self._potentials = None
         self._admissible = None
-        self._edges = None
-        self._point_fans = None
         self._spinc = None
         self._index1 = None
 
@@ -363,97 +351,17 @@ class DomainCalculator:
 
     # -- boundary curve shape (domain_type) ---------------------------------
 
-    def _build_edges(self):
-        """Pair up opposite arc-side occurrences into surface edges.
-
-        Each undirected arc of the curve system shows up in exactly two
-        region circuits, once per direction. With parallel arcs (same
-        endpoints, several copies) the encoding does not say which side
-        glues to which; we pair them in listing order and flag the groups
-        so domain_type can refuse genuinely ambiguous chains.
-        """
-        occs = []
-        for r, reg in enumerate(self.dg.regions):
-            for ci, cir in enumerate(reg):
-                m = len(cir)
-                for j in range(0, m, 2):
-                    occs.append(
-                        _ArcOcc(
-                            "a", cir[j], cir[(j + 1) % m], r,
-                            (r, ci, j), (r, ci, (j + 1) % m),
-                        )
-                    )
-                    occs.append(
-                        _ArcOcc(
-                            "b", cir[(j + 1) % m], cir[(j + 2) % m], r,
-                            (r, ci, (j + 1) % m), (r, ci, (j + 2) % m),
-                        )
-                    )
-        groups = {}
-        for o in occs:
-            lo, hi = min(o.tail, o.head), max(o.tail, o.head)
-            groups.setdefault((o.kind, lo, hi), []).append(o)
-        edges = []  # (side0, side1) occurrence pairs; side1 reverses side0
-        parallel = []  # per edge: True when its group had a pairing choice
-        for key, grp in sorted(groups.items()):
-            kind, lo, hi = key
-            if lo == hi:
-                assert len(grp) % 2 == 0
-                for i in range(0, len(grp), 2):
-                    edges.append((grp[i], grp[i + 1]))
-                    parallel.append(len(grp) > 2)
-            else:
-                fwd = [o for o in grp if o.tail == lo]
-                bwd = [o for o in grp if o.tail == hi]
-                assert len(fwd) == len(bwd)
-                for f, b in zip(fwd, bwd):
-                    edges.append((f, b))
-                    parallel.append(len(fwd) > 1)
-        self._edges = edges
-        self._parallel = parallel
-
-        # corner -> (edge, end) rays; end 0 is where side0 starts
-        ray_of_prev = {}  # corner key -> ray for the arc arriving there
-        ray_of_next = {}
-        for ei, (s0, s1) in enumerate(edges):
-            ray_of_next[s0.start_corner] = (ei, 0)
-            ray_of_prev[s0.end_corner] = (ei, 1)
-            ray_of_next[s1.start_corner] = (ei, 1)
-            ray_of_prev[s1.end_corner] = (ei, 0)
-
-        # cyclic fan of the four corner occurrences around each point
-        fans = []
-        for p in range(self.dg.num_points):
-            corners = self.dg.corner_occurrences(p)
-            assert len(corners) == 4
-            by_ray = {}
-            for c in corners:
-                for ray in (ray_of_prev[c], ray_of_next[c]):
-                    by_ray.setdefault(ray, []).append(c)
-            assert all(len(v) == 2 for v in by_ray.values())
-            # walk the 4-cycle corner - ray - corner - ...
-            start = corners[0]
-            fan, rays = [start], []
-            ray = ray_of_next[start]
-            while True:
-                a, b = by_ray[ray]
-                nxt = b if a == fan[-1] else a
-                rays.append(ray)
-                if nxt == start:
-                    break
-                fan.append(nxt)
-                other = ray_of_prev[nxt], ray_of_next[nxt]
-                ray = other[0] if other[1] == ray else other[1]
-            assert len(fan) == 4 and len(rays) == 4
-            fans.append((fan, rays))
-        self._point_fans = fans
-
     def domain_type(self, dom):
         """(J+, chi, b, g) of the curve a nonnegative domain supports.
 
-        chi drops the untouched stationary sheets, b counts boundary
-        circles by resolving every corner the embedded way, and g reads
-        the closed-up genus (2 - chi - b)/2 of a connected curve.
+        In the cylindrical picture (Lipshitz, Geom. Topol. 10, 2006) the
+        curve's boundary runs once along every alpha and every beta curve:
+        along alpha_i to the target's point, onto the beta curve through
+        it, along that to the source's point, and onto the alpha curve
+        through that.  Its circles are thus the cycles of pi_x^-1 pi_y.
+        chi = (curves) - n_x - n_y + e and b both drop the s untouched
+        stationary points, which are trivial strips; g reads the closed-up
+        genus (2 - chi - b)/2 of a connected curve.
         """
         c = self._full_coeffs(dom)
         if any(v < 0 for v in c):
@@ -462,8 +370,6 @@ class DomainCalculator:
         jp = self.j_plus(dom)
         if not any(c):
             return (jp, 0, 0, 0)
-        if self._edges is None:
-            self._build_edges()
 
         stationary = set(xg.points) & set(yg.points)
         s = sum(
@@ -480,77 +386,8 @@ class DomainCalculator:
         if num % 4:
             raise DomainError("Euler characteristic %d/4 not integral" % num)
         chi = num // 4
-
-        # refuse chains whose boundary depends on the unrecorded gluing
-        # choice between parallel arcs
-        for ei, (s0, s1) in enumerate(self._edges):
-            if not self._parallel[ei]:
-                continue
-            kind = s0.kind
-            lo, hi = min(s0.tail, s0.head), max(s0.tail, s0.head)
-            sides0 = set()
-            sides1 = set()
-            for fj, (t0, t1) in enumerate(self._edges):
-                if (t0.kind, min(t0.tail, t0.head), max(t0.tail, t0.head)) == (
-                    kind, lo, hi,
-                ):
-                    sides0.add(c[t0.region])
-                    sides1.add(c[t1.region])
-            if len(sides0) > 1 and len(sides1) > 1:
-                raise DomainError(
-                    "parallel %s-arcs between points %d and %d make the "
-                    "boundary of this chain ambiguous" % (kind, lo, hi)
-                )
-
-        # strand slots (edge, end, level) glued at points level by level
-        parent = {}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for ei, (s0, s1) in enumerate(self._edges):
-            lo, hi = sorted((c[s0.region], c[s1.region]))
-            for d in range(lo + 1, hi + 1):
-                union((ei, 0, d), (ei, 1, d))
-
-        hooked = {}
-        for fan, rays in self._point_fans:
-            mult = [c[corner[0]] for corner in fan]
-            top = max(mult)
-            if top == 0:
-                continue
-            for d in range(1, top + 1):
-                live = [i for i in range(4) if mult[i] >= d]
-                if len(live) == 4:
-                    continue
-                # maximal cyclic runs of live quadrants
-                runs = []
-                liveset = set(live)
-                for i in live:
-                    if (i - 1) % 4 not in liveset:
-                        j = i
-                        while (j + 1) % 4 in liveset:
-                            j = (j + 1) % 4
-                        runs.append((i, j))
-                for i, j in runs:
-                    e1, k1 = rays[(i - 1) % 4]
-                    e2, k2 = rays[j]
-                    union((e1, k1, d), (e2, k2, d))
-                    for slot in ((e1, k1, d), (e2, k2, d)):
-                        hooked[slot] = hooked.get(slot, 0) + 1
-        assert all(v == 1 for v in hooked.values()), "slot hooked twice"
-
-        b = len({find(a) for a in parent})
+        alpha_at = {j: i for i, j in enumerate(xg.permutation)}
+        b = cycle_count([alpha_at[j] for j in yg.permutation]) - s
         if (2 - chi - b) % 2:
             raise DomainError("chi %d and %d circles disagree in parity" % (chi, b))
         return (jp, chi, b, (2 - chi - b) // 2)

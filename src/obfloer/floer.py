@@ -208,8 +208,8 @@ def reduce_by_K(d0, d1):
         q = F2Quotient(n0, d0K)
         nxt = F2Subspace(F2Map([q.project(c) for c in d1.cols],
                                q.dim()).kernel_basis())
-        for v in K.vectors():
-            assert nxt.contains(v)
+        if not all(nxt.contains(v) for v in K.vectors()):
+            raise FloerError("the K chain must only grow")
         if nxt == K:
             break
         K = nxt
@@ -240,19 +240,22 @@ def order_from_split(d0, d1, x):
     red = reduce_by_K(d0, d1)
     if red.K.dim() == d0.ncols:
         # x survives in C0/d0(C1), so nothing can ever hit it
-        assert red.cod.project(x) != 0
+        if red.cod.project(x) == 0:
+            raise FloerError("x is 0 modulo d0(C1) though d0 misses it")
         return OrderResult(None, (), "K = C1", None)
     if red.d0bar.rank() == red.dom.dim():
         return OrderResult(None, (), "reduced d0 injective", None)
 
     xbar = red.cod.project(x)
-    assert xbar != 0
+    if xbar == 0:
+        raise FloerError("x is 0 modulo d0(K) though d0 misses it")
     u0 = red.d1bar.image_basis()
     t_map = F2Map(list(u0), red.cod.dim())
     delta_cols = []
     for u in u0:
         v = red.d1bar.solve(u)
-        assert v is not None
+        if v is None:
+            raise FloerError("reduced d1 misses its own image")
         delta_cols.append(red.d0bar.apply(v))
     delta = F2Map(delta_cols, red.cod.dim())
 
@@ -267,16 +270,16 @@ def order_from_split(d0, d1, x):
     us = [F2Subspace(1 << t for t in range(len(u0)))]
     while True:
         kn, un = preimage(kers[-1]), preimage(us[-1])
-        for w in kers[-1].vectors():
-            assert kn.contains(w)  # ker delta^i only ever grows
-        for w in un.vectors():
-            assert us[-1].contains(w)
+        if not (all(kn.contains(w) for w in kers[-1].vectors())
+                and all(us[-1].contains(w) for w in un.vectors())):
+            raise FloerError("ker delta^i must grow, delta^-i(U0) shrink")
         if kn == kers[-1] and un == us[-1]:
             m = len(kers)
             break
         kers.append(kn)
         us.append(un)
-        assert len(kers) <= len(u0) + 2
+        if len(kers) > len(u0) + 2:
+            raise FloerError("the delta iteration outgrew its dimension")
 
     for k, ker_k in enumerate(kers, start=1):
         hit_space = F2Subspace(t_map.apply(w) for w in ker_k.vectors())
@@ -521,8 +524,9 @@ def plot_complex(source, class_index, name=None):
 
     Pass a NiceComplex for true differentials (edge per mod-2-nonzero
     count, solid J+ = 0, dashed J+ = 2) or a DomainCalculator for the
-    general engine (edge per index-1 positive domain, blue when the
-    domain is disk-shaped and so counts exactly once).
+    general engine (edge per index-1 positive domain, blue when
+    DomainCalculator.domain_type reads its curve as a disk, chi = b = 1
+    and g = 0, which counts exactly once).
     """
     nice = isinstance(source, NiceComplex)
     calc = source.calc if nice else source

@@ -24,6 +24,17 @@ def load_diagram(name):
     return build_diagram(load_region_list(name))
 
 
+def corner_occurrences(dg, p):
+    """All (region, circuit, position) corner occurrences of point p."""
+    out = []
+    for r, reg in enumerate(dg.regions):
+        for ci, cir in enumerate(reg):
+            for i, c in enumerate(cir):
+                if c == p:
+                    out.append((r, ci, i))
+    return out
+
+
 def pushed_variant(name, pushes, seed):
     """The fixture's region list after `pushes` seeded random finger moves."""
     rl = load_region_list(name)

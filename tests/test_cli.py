@@ -9,12 +9,12 @@ import runpy
 import pytest
 
 from obfloer.cli import main
-from obfloer.diagram import build_diagram, parse_region_list
+from obfloer.diagram import build_diagram, parse_region_list, region_list_to_json
 from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex
 from obfloer.nicefy import is_nice
 
-from conftest import FIXTURES, run_cli_optimized
+from conftest import FIXTURES, pushed_variant, run_cli_optimized
 
 DEMOS = FIXTURES.parent / "demos"
 
@@ -214,6 +214,13 @@ def test_refusal_and_internal_error_under_python_O(tmp_path):
                 "obfloer.floer.check_zigzag = lambda *args: False")
     assert rc == 4
     assert "internal error: order 0 certificate fails" in err
+    rc, _, err = run_cli_optimized(
+        ["contact", "--input", fix("s3_overtwisted"), "--out-dir", tmp_path],
+        prelude="from obfloer.diagram import Generator, HeegaardDiagram\n"
+                "HeegaardDiagram.generator_by_points = "
+                "lambda self, pts: Generator(tuple(pts), (1,), 0)")
+    assert rc == 4
+    assert "internal error: beta curves are not indexed" in err
 
 
 def test_contact_and_order_tight(tmp_path, capsys):
@@ -292,6 +299,20 @@ def test_plot_general_diagram(tmp_path, capsys):
     assert not (tmp_path / "r6_spinc_1.dot").exists()
 
 
+@pytest.mark.parametrize("name,pushes,seed", [
+    (n, 0, 0) for n in ("l21", "l31", "octa2", "r22", "r6", "s1s2",
+                        "s3_overtwisted", "s3_tight", "s3_twopoint",
+                        "s3_wiggle", "sphere4")
+] + [("octa2", 1, 1), ("octa2", 2, 1), ("r6", 1, 1), ("s1s2", 1, 1),
+     ("s3_wiggle", 1, 1), ("r22", 1, 2), ("r22", 2, 1), ("r22", 3, 1)])
+def test_plot_never_fails_internally(tmp_path, capsys, name, pushes, seed):
+    # a finger move presents the same manifold, so its plot is no less valid
+    src = tmp_path / (name + ".json")
+    src.write_text(region_list_to_json(pushed_variant(name, pushes, seed)))
+    rc, _, err = run(capsys, "plot", "--input", src, "--out-dir", tmp_path)
+    assert rc in (0, 3), err
+
+
 def test_dot_flag_on_homology(tmp_path, capsys):
     nice = _nice_r6(tmp_path, capsys)
     rc, _, _ = run(capsys, "homology", "--input", nice, "--out-dir", tmp_path,
@@ -367,6 +388,23 @@ def test_all_spinc_writes_raw_and_nice_differentials_once_each(tmp_path,
         assert (tmp_path / "all" / name).read_text() == want
 
 
+def test_all_on_nice_input_writes_each_artifact_once(tmp_path, capsys):
+    rc, out, _ = run(capsys, "all", "--input", fix("s3_overtwisted"),
+                     "--out-dir", tmp_path / "all", "--spinc", 0, "--dot")
+    assert rc == 0
+    wrote = [line for line in out.splitlines() if line.startswith("wrote ")]
+    assert len(wrote) == len(set(wrote)) == 7
+    # analyze and homology would have written the same bytes
+    for cmd in ("analyze", "homology"):
+        rc, _, _ = run(capsys, cmd, "--input", fix("s3_overtwisted"),
+                       "--out-dir", tmp_path / cmd, "--spinc", 0, "--dot")
+        assert rc == 0
+        for name in ("s3_overtwisted_differentials_in_spinc_0.txt",
+                     "s3_overtwisted_spinc_0.dot"):
+            assert ((tmp_path / "all" / name).read_bytes()
+                    == (tmp_path / cmd / name).read_bytes())
+
+
 def test_all_skips_makenice_when_nice(tmp_path, capsys):
     rc, _, _ = run(capsys, "all", "--input", fix("s3_tight"),
                    "--out-dir", tmp_path)
@@ -438,13 +476,13 @@ def test_pipeline_demo_artifacts_are_golden(tmp_path, capsys):
     for args in (("analyze", "r22"), ("all", "r6"),
                  ("order", "s3_tight", "--format", "json"),
                  ("order", "s3_overtwisted", "--format", "json"),
-                 ("plot", "s3_overtwisted")):
+                 ("plot", "s3_overtwisted"), ("plot", "s1s2")):
         command, name, *rest = args
         rc, _, _ = run(capsys, command, "--input", fix(name),
                        "--out-dir", tmp_path, *rest)
         assert rc == 0, args
     golden = sorted(p.name for p in (DEMOS / "out").iterdir())
-    assert len(golden) == 12
+    assert len(golden) == 14
     assert sorted(p.name for p in tmp_path.iterdir()) == golden
     for n in golden:
         want = (DEMOS / "out" / n).read_bytes()

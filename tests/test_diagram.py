@@ -19,7 +19,13 @@ from obfloer.diagram import (
 )
 from obfloer.domains import DomainCalculator
 
-from conftest import FIXTURES, load_diagram, load_region_list, pushed_variant
+from conftest import (
+    FIXTURES,
+    corner_occurrences,
+    load_diagram,
+    load_region_list,
+    pushed_variant,
+)
 
 # every fixture (no push) and seeded finger-moved variants of those that
 # admit a push
@@ -105,7 +111,7 @@ def test_point_measures_4_match_corner_occurrences(name, pushes, seed):
     d = build_diagram(pushed_variant(name, pushes, seed))
     want = [[0] * d.num_points for _ in range(d.num_regions)]
     for p in range(d.num_points):
-        for r, _, _ in d.corner_occurrences(p):
+        for r, _, _ in corner_occurrences(d, p):
             want[r][p] += 1
     assert [list(row) for row in d.point_measures_4] == want
 

@@ -23,7 +23,7 @@ from obfloer.domains import (
 from obfloer.linalg import IntSolver
 from obfloer.nicefy import make_nice
 
-from conftest import FIXTURES, box_scan, load_diagram
+from conftest import FIXTURES, box_scan, load_diagram, pushed_variant
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +319,55 @@ def test_rectangle_jplus_values(calc_r22):
             if t[1:] == (1, 1, 0):
                 seen.add(t[0])
     assert {0, 2} <= seen
+
+
+def test_domain_type_s1s2_reads_one_circle_per_curve():
+    # one alpha and one beta curve carry one boundary arc each, so every
+    # curve of s1s2 has one boundary circle; (0, 2, 1) is a disk
+    calc = DomainCalculator(load_diagram("s1s2"))
+    assert calc.domain_type(Domain((0, 2, 1), 0, 1)) == (0, 1, 1, 0)
+    assert calc.domain_type(Domain((1, 0, 0), 0, 1)) == (0, 1, 1, 0)
+
+
+def _index1_types(dg):
+    calc = DomainCalculator(dg)
+    return [calc.domain_type(dom)
+            for doms in calc.index1_differentials().values() for dom in doms]
+
+
+# every admissible fixture, and seeded finger-moved variants of those that
+# take a push; a finger move presents the same manifold
+PUSHABLE = ("octa2", "r6", "s1s2", "s3_wiggle")
+READOUT_INPUTS = (
+    [(n, 0, 0) for n in ("l21", "l31", "octa2", "r22", "r6", "s1s2",
+                         "s3_overtwisted", "s3_tight", "s3_twopoint",
+                         "s3_wiggle")]
+    + [(n, 1, s) for n in PUSHABLE for s in (1, 2, 3)]
+    + [(n, 2, s) for n in ("octa2", "r6", "s3_wiggle") for s in (1, 2, 3)]
+    + [("r22", k, s) for k in (1, 2, 3) for s in (1, 2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("name,pushes,seed", READOUT_INPUTS)
+def test_domain_type_is_a_surface_on_pushed_variants(name, pushes, seed):
+    for _, chi, b, g in _index1_types(
+            build_diagram(pushed_variant(name, pushes, seed))):
+        assert (chi + b) % 2 == 0 and b >= 1 and g >= 0
+
+
+@pytest.mark.parametrize("name,pushes,seed", [
+    ("octa2", 0, 0), ("r6", 0, 0), ("s1s2", 0, 0), ("s3_overtwisted", 0, 0),
+    ("s3_twopoint", 0, 0), ("s3_wiggle", 0, 0), ("octa2", 1, 1),
+    ("r6", 1, 1), ("s1s2", 1, 2), ("s3_wiggle", 1, 3),
+])
+def test_domain_type_reads_disks_on_nice_diagrams(name, pushes, seed):
+    # every positive index-1 domain of a nice diagram is an embedded
+    # bigon or rectangle
+    fin = make_nice(build_diagram(pushed_variant(name, pushes, seed))).diagram
+    types = _index1_types(fin)
+    assert types
+    assert {t[1:] for t in types} == {(1, 1, 0)}
+    assert {t[0] for t in types} <= {0, 2}
 
 
 def test_maslov_additivity_random_composable(calc_r22):

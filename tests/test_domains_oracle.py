@@ -24,6 +24,7 @@ from obfloer.nicefy import make_nice
 
 from conftest import (
     FIXTURES,
+    corner_occurrences,
     load_region_list,
     one_push_variants,
     pushed_variant,
@@ -96,7 +97,7 @@ def _oracle_corner_cuts(dg, xg, yg, base, basis):
     for c in contact & (xset ^ yset):
         rhs = 1 if c in xset else -1
         cnt = ({}, {})
-        for r, _, i in dg.corner_occurrences(c):
+        for r, _, i in corner_occurrences(dg, c):
             if not dg.is_pointed(r):
                 d = cnt[i % 2]
                 d[r] = d.get(r, 0) + 1
