@@ -42,7 +42,13 @@ from .diagram import (
 )
 from .domains import AdmissibilityError, DomainCalculator, DomainError
 from .floer import FloerError, NiceComplex, NotNiceError, plot_complex
-from .nicefy import NicefyError, StuckError, is_nice, make_nice
+from .nicefy import (
+    NicefyError,
+    NicefyInvariantError,
+    StuckError,
+    is_nice,
+    make_nice,
+)
 
 log = logging.getLogger("obfloer")
 
@@ -452,7 +458,7 @@ def main(argv=None):
     except (NicefyError, AdmissibilityError, ContactConventionError) as e:
         print("refused: %s" % e, file=sys.stderr)
         return EXIT_REFUSED
-    except (FloerError, DomainError, DiagramError, AssertionError) as e:
+    except (FloerError, DomainError, DiagramError, NicefyInvariantError) as e:
         print("internal error: %s" % e, file=sys.stderr)
         return EXIT_INTERNAL
     if cfg.fmt == "json":

@@ -27,10 +27,11 @@ The calculator exposes:
   * check_weak_admissibility: no nonzero nonnegative periodic combination;
   * connecting_domain / find_pos_domains: one solution (a difference of
     potentials), or the full list of nonnegative solutions (a
-    bounded-polytope lattice scan around it, sorted).  Regions are grouped
-    by the primitive direction of their periodic row: the scan gets one
-    row per direction, and regions with no periodic row are a sign check
-    on the solution before any scan;
+    bounded-polytope lattice scan around it, sorted).  The scan's rows are
+    the regions' periodic rows, fixed per calculator: Fourier-Motzkin runs
+    on them once, with parallel rows collapsed at every level, and each
+    pair then only combines its integer constants (linalg.PolytopeScan).
+    Regions with no periodic row are a sign check before any scan;
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
     switches, and the (J+, chi, b, g) shape of the underlying curve, its
     boundary circles read off the two generators' permutations;
@@ -46,7 +47,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .diagram import Generator, cycle_count
-from .linalg import IntSolver, UnboundedPolytopeError, cone_is_trivial, lattice_points
+from .linalg import IntSolver, PolytopeScan, UnboundedPolytopeError, cone_is_trivial
+
+# perfbench's tracer wraps lattice_points in every module that imports it,
+# and its tests read it here; nothing in this module calls it
+from .linalg import lattice_points  # noqa: F401
 
 
 class DomainError(Exception):
@@ -126,21 +131,6 @@ class DomainCalculator:
         self._basis_rows = [
             tuple(v[r] for v in kb) for r in range(self.num_unpointed)
         ]
-        # Regions whose rows share a primitive direction bound the scan by
-        # parallel half-spaces, so only the tightest of each group counts;
-        # regions with a zero row are fixed at the base domain's sign.
-        # direction -> [(region, multiple of the direction)]
-        self._directions = {}
-        self._fixed_regions = []
-        for r, row in enumerate(self._basis_rows):
-            g = 0
-            for v in row:
-                g = gcd(g, v)
-            if g:
-                key = tuple(v // g for v in row)
-                self._directions.setdefault(key, []).append((r, g))
-            else:
-                self._fixed_regions.append(r)
         self._full_kernel = self._full.kernel_basis()
         bm = diagram.boundary_mat
         self._region_cols = [  # nonzero (point, entry) pairs of each column
@@ -149,6 +139,7 @@ class DomainCalculator:
         ]
         self._gens = diagram.generators()
         self._potentials = None
+        self._scan = None  # PolytopeScan of the periodic rows, built lazily
         self._admissible = None
         self._spinc = None
         self._index1 = None
@@ -275,39 +266,32 @@ class DomainCalculator:
 
         Scans the lattice points of {t : base + t . periodic >= 0}; raises
         AdmissibilityError when that polytope is unbounded, which is exactly
-        a weak-admissibility failure.  The scan gets one row per periodic
-        direction, the tightest (least base[r] / g_r) of the regions along
-        it, which leaves the feasible set unchanged.
+        a weak-admissibility failure.  The periodic rows are the same for
+        every pair, so their Fourier-Motzkin projection is compiled once per
+        calculator (linalg.PolytopeScan); a pair only combines the integer
+        constants of base and runs an integer scan.
         """
         xg, yg = self._gen(x), self._gen(y)
         d0 = self.connecting_domain(xg, yg)
         if d0 is None:
             return []
         base = d0.coeffs
-        if any(base[r] < 0 for r in self._fixed_regions):
-            return []
-        basis = [d.coeffs for d in self._periodic.basis]
-        rank = len(basis)
-        rows = []
-        for members in self._directions.values():
-            best, bg = members[0]
-            for r, g in members[1:]:
-                if base[r] * bg < base[best] * g:
-                    best, bg = r, g
-            rows.append(self._basis_rows[best] + (base[best],))
+        if self._scan is None:
+            self._scan = PolytopeScan(self._basis_rows, self._periodic.rank)
         try:
-            ts = lattice_points(rows, rank)
+            ts = self._scan.points(base)
         except UnboundedPolytopeError as err:
             raise AdmissibilityError(
                 "positive domains %s -> %s form an unbounded set; "
                 "the diagram is not weakly admissible" % (xg, yg)
             ) from err
+        basis = [d.coeffs for d in self._periodic.basis]
         out = []
         for t in ts:
-            coeffs = base if not rank else tuple(
-                base[r] + sum(t[j] * basis[j][r] for j in range(rank))
-                for r in range(self.num_unpointed)
-            )
+            coeffs = base
+            for tj, bj in zip(t, basis):
+                if tj:
+                    coeffs = tuple(c + tj * v for c, v in zip(coeffs, bj))
             if any(v < 0 for v in coeffs):
                 raise DomainError(
                     "lattice scan left the nonnegative cone: %s -> %s" % (xg, yg)

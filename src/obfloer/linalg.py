@@ -8,7 +8,9 @@ Three independent toolboxes, all exact (no floating point anywhere):
   * GF(2) maps with bit-packed vectors (bit i of an int = coordinate i):
     apply/solve/kernel, echelon subspaces, quotient spaces;
   * integer points of rational polyhedra {t : A t + c >= 0} by
-    Fourier-Motzkin elimination and interval DFS.
+    Fourier-Motzkin elimination and interval DFS: lattice_points for one
+    system, PolytopeScan for one A and many c (the projection compiled
+    once, each c then an integer scan).
 """
 
 from __future__ import annotations
@@ -406,3 +408,128 @@ def cone_is_trivial(ineq_rows, nvars):
     except UnboundedPolytopeError:
         return False
     return pts == [tuple([0] * nvars)]
+
+
+def _collapse(cands):
+    """Group candidate rows (a, form) by the primitive direction of a.
+
+    Returns (groups, zero): each group is (L * direction, forms), its
+    members' forms scaled to L, the lcm of their multiples of the
+    direction; zero holds the forms of the rows with a = 0.  A form
+    (m, i, n, j) reads m * c[i] + n * c[j] off the parent level's
+    constants c.
+    """
+    by_dir = {}
+    zero = []
+    for a, form in cands:
+        g = 0
+        for v in a:
+            g = gcd(g, v)
+        if g:
+            by_dir.setdefault(tuple(v // g for v in a), []).append((g, form))
+        else:
+            zero.append(form)
+    groups = []
+    for d, members in by_dir.items():
+        top = math.lcm(*(g for g, _ in members))
+        forms = [
+            (m * (top // g), i, n * (top // g), j)
+            for g, (m, i, n, j) in members
+        ]
+        groups.append((tuple(top * v for v in d), forms))
+    return groups, zero
+
+
+class PolytopeScan:
+    """lattice_points for one coefficient matrix and many constant vectors.
+
+    The points of {t : a_k . t + c_k >= 0} for rows a_k fixed here and
+    constants c given per call.  Fourier-Motzkin runs once, on the a_k
+    alone: each derived row records the nonnegative combination of its two
+    parents, and at every level parallel rows collapse into one group,
+    scaled to the lcm of their multiples, whose constant is the least
+    (tightest) of its members'.  Collapsing parallel half-spaces keeps
+    every level's real set, so each projection is fm_chain's: the integer
+    scan sees the same range over every prefix, returns the same points
+    and raises UnboundedPolytopeError exactly when lattice_points does.
+    Constants are never rounded between levels, which could turn a
+    real-feasible but integer-empty system from a raise into [].
+    """
+
+    def __init__(self, rows, nvars):
+        self.nvars = nvars
+        # rows with a = 0: each constant alone must be >= 0
+        self._fixed = [k for k, a in enumerate(rows) if not any(a)]
+        # steps[s]: (forms of each group, forms of rows with a = 0) from the
+        # constants of level nvars - s + 1 (the input at s = 0) to those of
+        # level nvars - s, whose rows involve t_0 .. t_{nvars-s-1}
+        self._steps = []
+        # bounds[l]: the rows of level l + 1 that bound t_l, as lists of
+        # (|a_l|, coefficients of t_0 .. t_{l-1}, group): lower, upper
+        self._bounds = [None] * nvars
+        cands = [(tuple(a), (1, k, 0, 0)) for k, a in enumerate(rows) if any(a)]
+        for level in range(nvars, -1, -1):
+            groups, zero = _collapse(cands)
+            self._steps.append(([forms for _, forms in groups], zero))
+            if not level:
+                break
+            lows, highs, cands = [], [], []
+            for g, (a, _) in enumerate(groups):
+                if a[-1] > 0:
+                    lows.append((a[-1], a[:-1], g))
+                elif a[-1] < 0:
+                    highs.append((-a[-1], a[:-1], g))
+                else:
+                    cands.append((a[:-1], (1, g, 0, 0)))
+            for p, ap, gp in lows:
+                for q, an, gn in highs:
+                    comb = tuple(q * x + p * y for x, y in zip(ap, an))
+                    cands.append((comb, (q, gp, p, gn)))
+            self._bounds[level - 1] = (lows, highs)
+
+    def points(self, consts):
+        """All integer points for these constants (one per row), in
+        lexicographic order; [] as soon as a constant row is negative."""
+        if any(consts[k] < 0 for k in self._fixed):
+            return []
+        levels = []  # levels[s]: group constants of level nvars - s
+        cur = consts
+        for forms, zero in self._steps:
+            for m, i, n, j in zero:
+                if m * cur[i] + n * cur[j] < 0:
+                    return []
+            cur = [
+                min([m * cur[i] + n * cur[j] for m, i, n, j in fs]) for fs in forms
+            ]
+            levels.append(cur)
+        nvars = self.nvars
+        if not nvars:
+            return [()]
+        out = []
+        prefix = []
+
+        def scan(level):
+            lows, highs = self._bounds[level]
+            if not lows or not highs:
+                raise UnboundedPolytopeError(
+                    "coordinate t_%d is unbounded over a feasible prefix" % level
+                )
+            c = levels[nvars - 1 - level]
+            lo = max(
+                -((c[g] + sum(x * y for x, y in zip(a, prefix))) // p)
+                for p, a, g in lows
+            )
+            hi = min(
+                (c[g] + sum(x * y for x, y in zip(a, prefix))) // q
+                for q, a, g in highs
+            )
+            for t in range(lo, hi + 1):
+                prefix.append(t)
+                if level + 1 == nvars:
+                    out.append(tuple(prefix))
+                else:
+                    scan(level + 1)
+                prefix.pop()
+
+        scan(0)
+        return out

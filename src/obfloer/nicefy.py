@@ -33,6 +33,11 @@ class NicefyError(Exception):
     pass
 
 
+class NicefyInvariantError(Exception):
+    """A finished make_nice broke a postcondition: an internal error, not
+    a refusal like NicefyError."""
+
+
 class StuckError(NicefyError):
     """The greedy scheme stopped making progress.
 
@@ -327,11 +332,16 @@ def make_nice(diagram, move_cap=10 ** 6):
         moves.append(rec)
 
     fin = build_diagram(_relabel(cur))
-    assert is_nice(fin)
+    if not is_nice(fin):
+        raise NicefyInvariantError("make_nice ended on a diagram that is not nice")
     # alignment is preserved, never created: a diagram whose per-curve
     # minima hit one beta curve twice stays that way under isotopy
-    assert fin.contact_aligned == diagram.contact_aligned
-    assert fin.num_regions - fin.num_points == chi
+    if fin.contact_aligned != diagram.contact_aligned:
+        raise NicefyInvariantError("make_nice changed the contact alignment")
+    if fin.num_regions - fin.num_points != chi:
+        raise NicefyInvariantError(
+            "make_nice changed the Euler characteristic: %d != %d"
+            % (fin.num_regions - fin.num_points, chi))
     return NiceResult(fin, tuple(moves))
 
 

@@ -221,6 +221,16 @@ def test_refusal_and_internal_error_under_python_O(tmp_path):
                 "lambda self, pts: Generator(tuple(pts), (1,), 0)")
     assert rc == 4
     assert "internal error: beta curves are not indexed" in err
+    # make_nice's postconditions: relabeling back to the raw input leaves
+    # a diagram that is not nice
+    rc, _, err = run_cli_optimized(
+        ["makenice", "--input", fix("r6"), "--out-dir", tmp_path],
+        prelude="import obfloer.nicefy\n"
+                "from obfloer.diagram import parse_region_list\n"
+                "raw = parse_region_list(open(%r).read())\n"
+                "obfloer.nicefy._relabel = lambda dg: raw" % str(fix("r6")))
+    assert rc == 4
+    assert "internal error: make_nice ended on a diagram that is not nice" in err
 
 
 def test_contact_and_order_tight(tmp_path, capsys):

@@ -10,7 +10,7 @@ import random
 import pytest
 import sympy
 
-from obfloer import domains, linalg
+from obfloer import linalg
 from obfloer.cli import main
 from obfloer.diagram import build_diagram, make_region_list
 from obfloer.domains import (
@@ -561,7 +561,38 @@ def test_chern_split_is_an_internal_error(tmp_path, monkeypatch, capsys):
 def test_scan_point_outside_the_cone_is_an_internal_error(monkeypatch):
     calc = DomainCalculator(load_diagram("r22"))
     assert calc.find_pos_domains(7, 0)
-    monkeypatch.setattr(domains, "lattice_points",
-                        lambda rows, nvars: [(-50,) * nvars])
+    monkeypatch.setattr(linalg.PolytopeScan, "points",
+                        lambda self, consts: [(-50,) * self.nvars])
     with pytest.raises(DomainError, match="left the nonnegative cone"):
         calc.find_pos_domains(7, 0)
+
+
+def test_analyze_runs_fourier_motzkin_once_per_calculator(tmp_path,
+                                                          monkeypatch):
+    # find_pos_domains compiles its projection once per calculator
+    # (PolytopeScan); fm_chain runs only for the admissibility check
+    counts = {"fm_chain": 0, "calculators": 0, "scans": 0}
+    fm_chain = linalg.fm_chain
+    init = DomainCalculator.__init__
+    find_pos_domains = DomainCalculator.find_pos_domains
+
+    def counted_fm(rows, nvars):
+        counts["fm_chain"] += 1
+        return fm_chain(rows, nvars)
+
+    def counted_init(self, diagram):
+        counts["calculators"] += 1
+        init(self, diagram)
+
+    def counted_scan(self, x, y):
+        counts["scans"] += 1
+        return find_pos_domains(self, x, y)
+
+    monkeypatch.setattr(linalg, "fm_chain", counted_fm)
+    monkeypatch.setattr(DomainCalculator, "__init__", counted_init)
+    monkeypatch.setattr(DomainCalculator, "find_pos_domains", counted_scan)
+    rc = main(["analyze", "--input", str(FIXTURES / "r22.json"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert counts["calculators"] == 1 and counts["scans"] > 300
+    assert counts["fm_chain"] <= counts["calculators"]

@@ -14,6 +14,7 @@ from obfloer.linalg import (
     F2Quotient,
     F2Subspace,
     IntSolver,
+    PolytopeScan,
     UnboundedPolytopeError,
     affine_meets_subspace,
     cone_is_trivial,
@@ -328,6 +329,63 @@ def test_lattice_points_vs_bruteforce():
             if all(sum(a * x for a, x in zip(row, t)) + row[-1] >= 0 for row in rows)
         ]
         assert got == want
+
+
+def _points_or_raise(scan, *args):
+    try:
+        return scan(*args)
+    except UnboundedPolytopeError:
+        return "unbounded"
+
+
+def test_polytope_scan_vs_lattice_points():
+    # one compiled scan per coefficient matrix, several constant vectors;
+    # lattice_points on the full rows is the oracle, raise included
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(0, 3)
+        rows = []
+        for _ in range(rng.randint(0, 4)):
+            a = [rng.randint(-3, 3) for _ in range(k)]
+            # parallel copies with different multiples
+            for _ in range(rng.randint(1, 3)):
+                m = rng.choice([1, 1, 2, 3])
+                rows.append(tuple(m * v for v in a))
+        if rng.random() < 0.5:  # box most systems in, leave the rest open
+            for i in range(k):
+                e = [0] * k
+                e[i] = rng.randint(1, 3)
+                rows += [tuple(e), tuple(-v for v in e)]
+        rng.shuffle(rows)
+        scan = PolytopeScan(rows, k)
+        for _ in range(4):
+            consts = [rng.randint(-6, 9) for _ in rows]
+            full = [a + (c,) for a, c in zip(rows, consts)]
+            want = _points_or_raise(lattice_points, full, k)
+            assert _points_or_raise(scan.points, consts) == want, full
+            seen.add((k, "unbounded" if want == "unbounded" else bool(want),
+                      not rows))
+    for k in range(1, 4):
+        assert {(k, "unbounded", False), (k, False, False),
+                (k, True, False), (k, "unbounded", True)} <= seen
+
+
+def test_polytope_scan_keeps_rational_constants():
+    # t0 = 0, t1 >= 0 with no upper bound, and 2 t2 = 1: real-feasible but
+    # integer-empty.  The scan reaches t1 and raises before it meets t2;
+    # rounding t2's constants (t2 >= 1, t2 <= 0) would return [] instead
+    rows = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 2), (0, 0, -2)]
+    consts = [0, 0, 0, -1, 1]
+    with pytest.raises(UnboundedPolytopeError, match="t_1"):
+        lattice_points([a + (c,) for a, c in zip(rows, consts)], 3)
+    with pytest.raises(UnboundedPolytopeError, match="t_1"):
+        PolytopeScan(rows, 3).points(consts)
+    # t0 free, but 1 <= t1 <= 0: the empty real set returns [] before
+    # the scan could find t0 unbounded
+    full = [(0, 1, -1), (0, -1, 0)]
+    assert lattice_points(full, 2) == []
+    assert PolytopeScan([(0, 1), (0, -1)], 2).points([-1, 0]) == []
 
 
 def test_polytope_box_bounds():

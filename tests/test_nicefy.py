@@ -5,11 +5,13 @@ structural claims next to them (corner counts, Euler characteristic, label
 blocks) are the hand-checkable part.
 """
 
+import json
 import random
 
 import pytest
 
-from obfloer.diagram import build_diagram, circuit_beta_arcs
+from obfloer.cli import main
+from obfloer.diagram import build_diagram, circuit_beta_arcs, region_list_to_json
 from obfloer.nicefy import (
     MoveRecord,
     NicefyError,
@@ -21,7 +23,12 @@ from obfloer.nicefy import (
     region_badness,
 )
 
-from conftest import load_diagram, load_region_list
+from conftest import (
+    load_diagram,
+    load_region_list,
+    one_push_variants,
+    pushed_variant,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +254,37 @@ def test_random_push_none_when_everything_small(s3_overtwisted, l21):
     rng = random.Random(0)
     assert random_push(s3_overtwisted.to_region_list(), rng) is None
     assert random_push(l21.to_region_list(), rng) is None
+
+
+# A push is a finger move: the pushed list presents the same pointed
+# diagram, so `all` must read the same homology ranks, contact class and
+# order.  Inputs: every one-push variant of the open-book fixtures of
+# test_acceptance.test_structural_identities (only r6 admits a push), and
+# the four two-push r6 variants of test_near_pairs.
+OPEN_BOOK = ["s3_tight", "s3_overtwisted", "l21", "l31", "s3_twopoint", "r6"]
+PUSHED = [
+    (name, "%s-1push-k%d" % (name, k), rl)
+    for name in OPEN_BOOK
+    for k, rl in enumerate(one_push_variants(name))
+] + [("r6", "r6-2push-s%d" % s, pushed_variant("r6", 2, s))
+     for s in (1, 2, 9, 13)]
+
+
+def _invariants(region_list, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text(region_list_to_json(region_list) + "\n")
+    rc = main(["all", "--input", str(src), "--out-dir", str(tmp_path),
+               "--format", "json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    hom = doc["homology"]
+    return (hom["total_rank"], sorted(c["total"] for c in hom["classes"]),
+            doc["contact"]["contact_class"], doc["order"]["order"])
+
+
+@pytest.mark.parametrize("name,rl", [(n, rl) for n, _, rl in PUSHED],
+                         ids=[i for _, i, _ in PUSHED])
+def test_random_push_keeps_homology_contact_class_and_order(name, rl,
+                                                            tmp_path, capsys):
+    want = _invariants(load_region_list(name), tmp_path, capsys)
+    assert _invariants(rl, tmp_path, capsys) == want
