@@ -154,14 +154,6 @@ def _diff_lines(calc, diffs):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _entry_lines(entries):
-    lines = [
-        "x%d -> x%d : count=%d J0=%d J2=%d" % (i, j, e.count, e.j0, e.j2)
-        for (i, j), e in sorted(entries.items())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def _emit_dots(eng, ks, out):
     # nice diagrams always plot through the counting engine
     src = eng.complex if is_nice(eng.dg) else eng.calc
@@ -196,8 +188,7 @@ def cmd_analyze(cfg, eng, out):
     all_lines = _diff_lines(calc, diffs)
     if cfg.spinc is not None:
         k = _check_spinc(cfg.spinc, table)
-        sub = {p: d for p, d in diffs.items() if table.class_of[p[0]] == k}
-        sub_lines = _diff_lines(calc, sub)
+        sub_lines = _diff_lines(calc, calc.index1_differentials(k))
     out.write(base + "_analysis.json", _dumps(doc))
     out.write(base + "_possible_differentials.txt", all_lines)
     if cfg.spinc is not None:
@@ -263,9 +254,9 @@ def cmd_homology(cfg, eng, out):
     if cfg.spinc is not None:
         # named from the engine stem: under `all` on a raw diagram, analyze
         # has already written the raw diagram's class under the plain name
-        sd = nc.build_boundary(ks[0])
         out.write(_safe_name(eng.name) + "_differentials_in_spinc_%d.txt"
-                  % ks[0], _entry_lines(sd.entries))
+                  % ks[0], _diff_lines(nc.calc,
+                                       nc.calc.index1_differentials(ks[0])))
     if cfg.dot:
         _emit_dots(eng, ks, out)
     return doc

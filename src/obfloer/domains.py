@@ -38,7 +38,8 @@ The calculator exposes:
   * spinc_partition / index1_differentials: SpinC classes (generators
     grouped by residue) with Chern numbers, divisibility, relative
     gradings, and the candidate differentials (positive index-1 domains
-    between grading-adjacent generators).
+    between grading-adjacent generators), built one class at a time:
+    the only enumeration of them, which the Floer engine and plots read.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from math import gcd
 
 from .diagram import Generator, cycle_count
 from .linalg import IntSolver, PolytopeScan, UnboundedPolytopeError, cone_is_trivial
+from .nicefy import is_nice
 
 # perfbench's tracer wraps lattice_points in every module that imports it,
 # and its tests read it here; nothing in this module calls it
@@ -142,7 +144,7 @@ class DomainCalculator:
         self._scan = None  # PolytopeScan of the periodic rows, built lazily
         self._admissible = None
         self._spinc = None
-        self._index1 = None
+        self._index1 = {}  # class index -> its index-1 table
 
     # -- basic plumbing ----------------------------------------------------
 
@@ -441,28 +443,42 @@ class DomainCalculator:
         )
         return self._spinc
 
-    def index1_differentials(self):
-        """(src, dst) -> positive index-1 domains, for grading-adjacent pairs."""
-        if self._index1 is not None:
-            return self._index1
+    def index1_differentials(self, class_index=None):
+        """(src, dst) -> positive index-1 domains, for grading-adjacent pairs
+        of one class, cached; class_index None gives the union of all.
+
+        On a nice diagram each such domain is an empty bigon (one point
+        moves) or rectangle (two move) (Sarkar and Wang, Ann. of Math.
+        171, 2010), so pairs that differ in more than two points are not
+        scanned.
+        """
         table = self.spinc_partition()
+        if class_index is None:
+            return {p: doms for k in range(len(table.classes))
+                    for p, doms in self.index1_differentials(k).items()}
+        if class_index in self._index1:
+            return self._index1[class_index]
+        members = table.classes[class_index]
+        d = table.div[class_index]
+        gr = table.gradings[class_index]
+        at_level = {}
+        for i in members:
+            at_level.setdefault(gr[i], []).append(i)
+        points = ({i: frozenset(self._gens[i].points) for i in members}
+                  if is_nice(self.dg) else None)
         out = {}
-        for ci, members in enumerate(table.classes):
-            d = table.div[ci]
-            gr = table.gradings[ci]
-            for i in members:
-                for j in members:
-                    if i == j:
-                        continue
-                    drop = gr[i] - gr[j] - 1
-                    if (drop % d if d else drop) != 0:
-                        continue
-                    doms = [
-                        dom
-                        for dom in self.find_pos_domains(i, j)
-                        if self.maslov_index(dom) == 1
-                    ]
-                    if doms:
-                        out[(i, j)] = doms
-        self._index1 = out
-        return self._index1
+        for i in members:
+            below = gr[i] - 1
+            for j in at_level.get(below % d if d else below, ()):
+                if i == j or (points is not None
+                              and len(points[i] ^ points[j]) > 4):
+                    continue
+                doms = [
+                    dom
+                    for dom in self.find_pos_domains(i, j)
+                    if self.maslov_index(dom) == 1
+                ]
+                if doms:
+                    out[(i, j)] = doms
+        self._index1[class_index] = out
+        return out

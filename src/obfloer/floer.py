@@ -4,10 +4,9 @@ Everything here runs on a nice diagram: each positive index-1 domain is
 then an empty embedded bigon or rectangle carrying exactly one curve, so
 the GF(2) differential is a finite count.  The count splits by J+ into
 d0 (J+ = 0) and d1 (J+ = 2); both are differentials and they commute.
-A bigon moves one point and a rectangle two, so build_boundary scans only
-the grading-adjacent pairs that differ in at most two points; find_diffs
-still scans any pair it is given, and raises FloerError on an index-1
-domain that is not a bigon or rectangle with J+ in {0, 2}.
+Nothing here scans: the domains come from the calculator's index-1
+table, and find_diffs raises FloerError on one that is not a bigon or
+rectangle with J+ in {0, 2}.
 The contact class lives in the distinguished generator's class, and its
 spectral order is computed from the two-level piece C1 -> C0 anchored
 there: reduce by the minimal subspace K, run the delta = d0 d1^{-1}
@@ -313,7 +312,6 @@ class NiceComplex:
         self.diagram = diagram
         self.calc = calc
         self.table = calc.spinc_partition()
-        self._diffs = {}
         self._split = {}
         self._canonical = None
 
@@ -321,9 +319,6 @@ class NiceComplex:
 
     def find_diffs(self, i, j):
         """DiffEntry for the pair (i, j), one grading step apart."""
-        key = (i, j)
-        if key in self._diffs:
-            return self._diffs[key]
         ci = self.table.class_of[i]
         if ci != self.table.class_of[j]:
             raise FloerError(
@@ -333,11 +328,10 @@ class NiceComplex:
         if (drop % dv if dv else drop) != 0:
             raise FloerError(
                 "generators %d -> %d are not one grading apart" % (i, j))
-        doms, j0, j2 = [], 0, 0
-        for dom in self.calc.find_pos_domains(i, j):
-            if self.calc.maslov_index(dom) != 1:
-                continue
-            # the theorem build_boundary's near-pair pruning rests on
+        doms = tuple(self.calc.index1_differentials(ci).get((i, j), ()))
+        j0 = j2 = 0
+        for dom in doms:
+            # the theorem the table's near-pair pruning rests on
             em2 = self.calc._em2_total(self.calc._full_coeffs(dom))
             if em2 not in (0, 1):
                 raise FloerError("index-1 domain on a nice diagram must be "
@@ -353,10 +347,7 @@ class NiceComplex:
                 j0 += 1
             else:
                 j2 += 1
-            doms.append(dom)
-        entry = DiffEntry(i, j, tuple(doms), len(doms), j0, j2)
-        self._diffs[key] = entry
-        return entry
+        return DiffEntry(i, j, doms, len(doms), j0, j2)
 
     # -- boundary maps ------------------------------------------------------
 
@@ -372,37 +363,27 @@ class NiceComplex:
             top, bot = max(gr.values()), min(gr.values())
             levels = tuple(range(top, bot - 1, -1))
         basis = {g: tuple(i for i in members if gr[i] == g) for g in levels}
-        # An index-1 positive domain is a bigon (one point moves) or a
-        # rectangle (two move), so only pairs that differ in at most two
-        # points can have a nonzero count.
-        gens = self.calc.dg.generators()
-        points = {i: frozenset(gens[i].points) for i in members}
-
+        pos = {i: n for g in levels for n, i in enumerate(basis[g])}
+        # column pos[i] of a level's maps has bit pos[j] set for each entry
+        # i -> j of odd count in that J+ flavor
+        c0 = {g: [0] * len(basis[g]) for g in levels}
+        c1 = {g: [0] * len(basis[g]) for g in levels}
         entries = {}
+        for i, j in self.calc.index1_differentials(class_index):
+            e = entries[(i, j)] = self.find_diffs(i, j)
+            if e.j0 % 2:
+                c0[gr[i]][pos[i]] |= 1 << pos[j]
+            if e.j2 % 2:
+                c1[gr[i]][pos[i]] |= 1 << pos[j]
+
         d_hat, d0, d1 = {}, {}, {}
         for s in levels:
             t = (s - 1) % dv if dv else s - 1
             if t not in basis:
                 continue
-            c_hat, c0, c1 = [], [], []
-            for i in basis[s]:
-                b_hat = b0 = b1 = 0
-                for pos, j in enumerate(basis[t]):
-                    if (dv and i == j) or len(points[i] ^ points[j]) > 4:
-                        continue
-                    e = self.find_diffs(i, j)
-                    if e.count:
-                        entries[(i, j)] = e
-                    if e.j0 % 2:
-                        b0 |= 1 << pos
-                    if e.j2 % 2:
-                        b1 |= 1 << pos
-                c_hat.append(b0 ^ b1)
-                c0.append(b0)
-                c1.append(b1)
             n = len(basis[t])
-            d_hat[s], d0[s], d1[s] = (F2Map(c_hat, n), F2Map(c0, n),
-                                      F2Map(c1, n))
+            d_hat[s] = F2Map([a ^ b for a, b in zip(c0[s], c1[s])], n)
+            d0[s], d1[s] = F2Map(c0[s], n), F2Map(c1[s], n)
 
         sd = SplitDifferential(class_index, dv, levels, basis, d_hat, d0, d1,
                                entries)
@@ -554,20 +535,13 @@ def plot_complex(source, class_index, name=None):
                 lines.append('  x%d -> x%d [style=dashed, label="J+=2"];'
                              % (i, j))
     else:
-        for i in members:
-            for j in members:
-                if i == j and not dv:
-                    continue
-                drop = gr[i] - gr[j] - 1
-                if (drop % dv if dv else drop) != 0:
-                    continue
-                doms = [d for d in calc.find_pos_domains(i, j)
-                        if calc.maslov_index(d) == 1]
-                for dom in doms:
-                    _, chi, b, g = calc.domain_type(dom)
-                    if (chi, b, g) == (1, 1, 0):
-                        lines.append('  x%d -> x%d [color=blue];' % (i, j))
-                    else:
-                        lines.append('  x%d -> x%d;' % (i, j))
+        diffs = calc.index1_differentials(class_index)
+        for (i, j), doms in sorted(diffs.items()):
+            for dom in doms:
+                _, chi, b, g = calc.domain_type(dom)
+                if (chi, b, g) == (1, 1, 0):
+                    lines.append('  x%d -> x%d [color=blue];' % (i, j))
+                else:
+                    lines.append('  x%d -> x%d;' % (i, j))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -311,12 +311,14 @@ def make_nice(diagram, move_cap=10 ** 6):
 
     cur = diagram
     moves = []
+    dists = None  # of cur, carried over from the move that built it
     while not is_nice(cur):
         if len(moves) >= move_cap:
             raise StuckError("move cap %d reached" % move_cap,
                              cur.to_region_list())
-        dists = compute_distances(cur)
-        before = _measure(cur, dists)
+        if dists is None:
+            dists = compute_distances(cur)
+            before = _measure(cur, dists)
         regs = [[list(c) for c in reg] for reg in cur.regions]
         cap = max(1000, 10 * cur.num_points)
         regs, _, rec = _one_move(regs, cur.num_pointed, list(dists),
@@ -325,11 +327,13 @@ def make_nice(diagram, move_cap=10 ** 6):
         cur = build_diagram(rl)
         if cur.num_regions - cur.num_points != chi or cur.num_curves != ncurves:
             raise NicefyError("finger move changed the underlying surface")
-        after = _measure(cur, compute_distances(cur))
+        dists = compute_distances(cur)
+        after = _measure(cur, dists)
         if after is not None and not after < before:
             raise StuckError("no progress: measure %r -> %r" % (before, after),
                              rl)
         moves.append(rec)
+        before = after
 
     fin = build_diagram(_relabel(cur))
     if not is_nice(fin):

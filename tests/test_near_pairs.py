@@ -1,13 +1,14 @@
-"""build_boundary's near-pair rule against find_diffs on every pair.
+"""The index-1 table's near-pair rule against a scan of every pair.
 
 On a nice diagram every positive index-1 domain is an empty embedded
 bigon (one point moves) or rectangle (two points move), so
-NiceComplex.build_boundary calls find_diffs only on the grading-adjacent
-pairs whose generators differ in at most two points.  find_diffs itself
-still scans whatever pair it is given, which makes it the oracle: a pair
-with more than two moving points must count 0, and the boundary's
-entries must be exactly the nonzero find_diffs entries over all
-grading-adjacent pairs.
+DomainCalculator.index1_differentials scans only the grading-adjacent
+pairs whose generators differ in at most two points, and
+NiceComplex.build_boundary reads its entries from that table.  The oracle
+is a scan in this file: find_pos_domains on every grading-adjacent pair,
+kept to the domains of Maslov index 1.  A pair with more than two moving
+points must carry none, and both the table and the boundary's entries
+must be exactly the oracle's nonempty pairs.
 
 Inputs: the made-nice diagram of every fixture except r22, whose nice
 diagram (4280 generators) is too slow for this suite, and sphere4, which
@@ -19,10 +20,11 @@ chosen for run time: 84-176 nice generators).
 import pytest
 
 from obfloer import linalg
-from obfloer.diagram import build_diagram
+from obfloer.cli import main
+from obfloer.diagram import build_diagram, region_list_to_json
 from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex
-from obfloer.nicefy import make_nice
+from obfloer.nicefy import is_nice, make_nice
 
 from conftest import (
     FIXTURES,
@@ -52,26 +54,39 @@ def _moved(gens, i, j):
     return len(set(gens[i].points) ^ set(gens[j].points)) // 2
 
 
+def scan_every_pair(calc, k):
+    """Positive index-1 domains of every grading-adjacent pair of class k."""
+    out = {}
+    for i, j in _adjacent_pairs(calc.spinc_partition(), k):
+        doms = [d for d in calc.find_pos_domains(i, j)
+                if calc.maslov_index(d) == 1]
+        if doms:
+            out[(i, j)] = doms
+    return out
+
+
 def check_near_pairs(region_list):
-    """Compare every class's boundary with the all-pairs oracle; return
-    (pairs with more than two moving points, nonzero rectangle pairs)."""
+    """Compare every class's table and boundary with the all-pairs scan;
+    return (pairs with more than two moving points, nonzero rectangle
+    pairs)."""
     calc = DomainCalculator(make_nice(build_diagram(region_list)).diagram)
+    oracle = DomainCalculator(calc.dg)
     cx = NiceComplex(calc)
-    oracle = NiceComplex(calc)  # its own find_diffs cache
     gens = calc.dg.generators()
     far = rectangles = 0
     for k in range(len(cx.table.classes)):
-        want = {}
+        want = scan_every_pair(oracle, k)
         for i, j in _adjacent_pairs(cx.table, k):
-            e = oracle.find_diffs(i, j)
             moved = _moved(gens, i, j)
             if moved > 2:
-                assert e.count == 0, (i, j)
+                assert (i, j) not in want, (i, j)
                 far += 1
-            elif e.count:
-                want[(i, j)] = e
+            elif (i, j) in want:
                 rectangles += moved == 2
-        assert cx.build_boundary(k).entries == want, k
+        assert calc.index1_differentials(k) == want, k
+        entries = cx.build_boundary(k).entries
+        assert {p: e.domains for p, e in entries.items()} == {
+            p: tuple(doms) for p, doms in want.items()}, k
     return far, rectangles
 
 
@@ -92,6 +107,19 @@ def test_r6_two_push_boundaries_match_all_pairs(seed):
     assert far > 0 and rectangles > 0
 
 
+def _count_scans(monkeypatch):
+    """Patch find_pos_domains to log (calculator, src, dst) per call."""
+    scanned = []
+    find_pos_domains = DomainCalculator.find_pos_domains
+
+    def counted_scan(self, x, y):
+        scanned.append((id(self), x, y))
+        return find_pos_domains(self, x, y)
+
+    monkeypatch.setattr(DomainCalculator, "find_pos_domains", counted_scan)
+    return scanned
+
+
 def test_build_boundary_scans_near_pairs_only(monkeypatch):
     calc = DomainCalculator(make_nice(load_diagram("r6")).diagram)
     assert calc.periodic_domain_basis().rank == 0
@@ -102,21 +130,53 @@ def test_build_boundary_scans_near_pairs_only(monkeypatch):
     near = sorted(p for p in pairs if _moved(gens, *p) <= 2)
     assert 0 < len(near) < len(pairs)
 
-    scanned, projected = [], []
-    find_pos_domains = DomainCalculator.find_pos_domains
+    projected = []
     fm_chain = linalg.fm_chain
-
-    def counted_scan(self, x, y):
-        scanned.append((x, y))
-        return find_pos_domains(self, x, y)
 
     def counted_fm(rows, nvars):
         projected.append(nvars)
         return fm_chain(rows, nvars)
 
-    monkeypatch.setattr(DomainCalculator, "find_pos_domains", counted_scan)
+    scanned = _count_scans(monkeypatch)
     monkeypatch.setattr(linalg, "fm_chain", counted_fm)
     for k in range(len(cx.table.classes)):
         cx.build_boundary(k)
-    assert sorted(scanned) == near
+    assert sorted((x, y) for _, x, y in scanned) == near
     assert projected == []  # b1 = 0: no scan has a variable to project
+
+
+def test_all_on_nice_input_scans_each_pair_once(tmp_path, monkeypatch):
+    # analyze's table is the one homology, contact and order read
+    fin = make_nice(load_diagram("r6")).diagram
+    src = tmp_path / "r6_nice.json"
+    src.write_text(region_list_to_json(fin.to_region_list()) + "\n")
+    calc = DomainCalculator(fin)
+    table = calc.spinc_partition()
+    gens = fin.generators()
+    near = [p for k in range(len(table.classes))
+            for p in _adjacent_pairs(table, k) if _moved(gens, *p) <= 2]
+
+    scanned = _count_scans(monkeypatch)
+    rc = main(["all", "--input", str(src), "--out-dir", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(set(scanned)) == len(scanned) == len(near)
+
+
+def test_analyze_dot_scans_each_pair_once(tmp_path, monkeypatch):
+    # a diagram that is not nice is never pruned, and the general plot
+    # reads analyze's table instead of scanning again
+    dg = load_diagram("r22")
+    assert not is_nice(dg)
+    calc = DomainCalculator(dg)
+    table = calc.spinc_partition()
+    pairs = [p for k in range(len(table.classes))
+             for p in _adjacent_pairs(table, k)]
+    gens = dg.generators()
+    moved = [_moved(gens, *p) for p in calc.index1_differentials()]
+    assert moved.count(3) == 42
+
+    scanned = _count_scans(monkeypatch)
+    rc = main(["analyze", "--dot", "--input", str(FIXTURES / "r22.json"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(set(scanned)) == len(scanned) == len(pairs)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from obfloer import nicefy
 from obfloer.cli import main
 from obfloer.diagram import build_diagram, circuit_beta_arcs, region_list_to_json
 from obfloer.nicefy import (
@@ -229,6 +230,16 @@ def test_move_cap_stuck_error(r22):
     assert dump is not None
     mid = build_diagram(dump)  # the dump is a valid intermediate diagram
     assert mid.num_points == r22.num_points + 2 * (1 + 2)
+
+
+def test_make_nice_measures_each_diagram_once(r6, monkeypatch):
+    # a move's "after" distances are the next move's "before"
+    calls = []
+    monkeypatch.setattr(nicefy, "compute_distances",
+                        lambda d: calls.append(d) or compute_distances(d))
+    res = make_nice(r6)
+    assert len(calls) == len(res.moves) + 1
+    assert len({id(d) for d in calls}) == len(calls)
 
 
 # ---------------------------------------------------------------------------
