@@ -29,7 +29,7 @@ table = calc.spinc_partition()
 print("== %s ==" % dg.name)
 print("%d points, %d regions, %d curves, b1=%d"
       % (dg.num_points, dg.num_regions, dg.num_curves,
-         calc.periodic_domain_basis().rank))
+         len(calc.periodic_domain_basis())))
 print("%d generators across %d spin-c classes"
       % (len(dg.generators()), len(table.classes)))
 print("weakly admissible:", calc.check_weak_admissibility())

@@ -18,9 +18,9 @@ Operations:
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 refused
 precondition (non-nice input to a nice-only command, inadmissible
-diagram, contact-convention violation, move cap exhausted), 4 internal
-error.  Set OBFLOER_LOG=debug|info|warning|error to adjust diagnostics
-on stderr.
+diagram, contact-convention violation, a distinguished generator that is
+not a cycle, move cap exhausted), 4 internal error.  Set
+OBFLOER_LOG=debug|info|warning|error to adjust diagnostics on stderr.
 """
 
 import argparse
@@ -41,7 +41,13 @@ from .diagram import (
     region_list_to_json,
 )
 from .domains import AdmissibilityError, DomainCalculator, DomainError
-from .floer import FloerError, NiceComplex, NotNiceError, plot_complex
+from .floer import (
+    FloerError,
+    NiceComplex,
+    NotNiceError,
+    NotOpenBookError,
+    plot_complex,
+)
 from .nicefy import (
     NicefyError,
     NicefyInvariantError,
@@ -177,7 +183,7 @@ def cmd_analyze(cfg, eng, out):
         "regions": dg.num_regions,
         "pointed": dg.num_pointed,
         "curves": dg.num_curves,
-        "b1": calc.periodic_domain_basis().rank,
+        "b1": len(calc.periodic_domain_basis()),
         "generators": len(dg.generators()),
         "spinc_classes": len(table.classes),
         "nice": is_nice(dg),
@@ -446,7 +452,8 @@ def main(argv=None):
         print("hint: run `obfloer makenice` and feed its output here",
               file=sys.stderr)
         return EXIT_REFUSED
-    except (NicefyError, AdmissibilityError, ContactConventionError) as e:
+    except (NicefyError, AdmissibilityError, ContactConventionError,
+            NotOpenBookError) as e:
         print("refused: %s" % e, file=sys.stderr)
         return EXIT_REFUSED
     except (FloerError, DomainError, DiagramError, NicefyInvariantError) as e:

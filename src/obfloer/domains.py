@@ -8,9 +8,11 @@ the two matrices are negatives of each other).  This orientation is the one
 under which the contact generator supports no outgoing positive domain and
 the two-corner pinning at contact points caps positive-domain counts by
 2^(moving contact points picked up by the target).
-Chains of unpointed regions ("hat" domains, class Domain) are the ones the
-hat theory counts; chains over all regions (FullDomain) decide when two
+Chains of unpointed regions ("hat" domains) are the ones the hat theory
+counts; chains over all regions ("full" domains) decide when two
 generators sit in the same SpinC class and carry the relative grading.
+Both are a Domain, told apart by the length of their coefficients, and
+every method names generators by their index.
 
 The calculator reduces each generator once, lazily, modulo the lattice of
 region boundaries (IntSolver.reduce).  The canonical residue of that
@@ -23,7 +25,8 @@ for hat domains.  No solve runs per pair of generators.
 
 The calculator exposes:
 
-  * periodic_domain_basis: lattice basis of hat domains with empty boundary;
+  * periodic_domain_basis: lattice basis of hat domains with empty boundary,
+    as coefficient tuples (its length is the rank);
   * check_weak_admissibility: no nonzero nonnegative periodic combination;
   * connecting_domain / find_pos_domains: one solution (a difference of
     potentials), or the full list of nonnegative solutions (a
@@ -34,12 +37,15 @@ The calculator exposes:
     Regions with no periodic row are a sign check before any scan;
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
     switches, and the (J+, chi, b, g) shape of the underlying curve, its
-    boundary circles read off the two generators' permutations;
+    boundary circles read off the two generators' permutations; a Chern
+    number is the index of a periodic domain read from g to g;
   * spinc_partition / index1_differentials: SpinC classes (generators
     grouped by residue) with Chern numbers, divisibility, relative
     gradings, and the candidate differentials (positive index-1 domains
     between grading-adjacent generators), built one class at a time:
     the only enumeration of them, which the Floer engine and plots read.
+    The SpinCTable owns the cyclic level rule (step, levels) that both
+    read.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .diagram import Generator, cycle_count
+from .diagram import cycle_count
 from .linalg import IntSolver, PolytopeScan, UnboundedPolytopeError, cone_is_trivial
 from .nicefy import is_nice
 
@@ -66,10 +72,11 @@ class AdmissibilityError(DomainError):
 
 @dataclass(frozen=True)
 class Domain:
-    """Integer chain of unpointed regions from generator src to dst.
+    """Integer chain of regions from generator index src to dst.
 
-    coeffs has one entry per unpointed region; pointed regions are pinned
-    to zero and not stored.
+    coeffs has one entry per unpointed region for a hat domain (pointed
+    regions are pinned to zero and not stored), or one per region for a
+    full domain, pointed ones allowed.
     """
 
     coeffs: tuple
@@ -77,21 +84,9 @@ class Domain:
     dst: int
 
 
-@dataclass(frozen=True)
-class FullDomain:
-    """Integer chain over all regions, pointed ones allowed."""
-
-    coeffs: tuple
-    src: int
-    dst: int
-
-
-@dataclass(frozen=True)
-class PeriodicDomainGroup:
-    """Basis of the lattice of hat domains with vanishing boundary."""
-
-    basis: tuple  # Domains with src == dst
-    rank: int
+def _level(g, div):
+    """Grading g as a level of a class graded mod div (0: graded by ZZ)."""
+    return g % div if div else g
 
 
 @dataclass(frozen=True)
@@ -112,6 +107,21 @@ class SpinCTable:
     div: tuple
     gradings: tuple
 
+    def step(self, k, g, n):
+        """The level n steps above level g in class k (cyclic mod div)."""
+        return _level(g + n, self.div[k])
+
+    def levels(self, k):
+        """Level -> its members ascending, for every level of class k, top
+        level first: all div levels when graded mod div, else the span of
+        the gradings, empty levels included."""
+        gr, d = self.gradings[k], self.div[k]
+        top, bot = (d - 1, 0) if d else (max(gr.values()), min(gr.values()))
+        at = {g: [] for g in range(top, bot - 1, -1)}
+        for i in self.classes[k]:
+            at[gr[i]].append(i)
+        return {g: tuple(m) for g, m in at.items()}
+
 
 class DomainCalculator:
     """All domain-level computations for one diagram, with cached solvers."""
@@ -123,17 +133,15 @@ class DomainCalculator:
         self._pm4 = diagram.point_measures_4  # [region][point]
         self._em2 = diagram.euler_measures_2
         self._full = IntSolver(diagram.boundary_mat, ncols=self.num_regions)
-        kb = IntSolver(
+        self._periodic = tuple(tuple(v) for v in IntSolver(
             diagram.boundary_mat, ncols=self.num_unpointed
-        ).kernel_basis()
-        self._periodic = PeriodicDomainGroup(
-            basis=tuple(Domain(tuple(v), 0, 0) for v in kb), rank=len(kb)
-        )
+        ).kernel_basis())
         # per unpointed region, its coefficient in each periodic basis element
         self._basis_rows = [
-            tuple(v[r] for v in kb) for r in range(self.num_unpointed)
+            tuple(v[r] for v in self._periodic)
+            for r in range(self.num_unpointed)
         ]
-        self._full_kernel = self._full.kernel_basis()
+        self._full_kernel = tuple(tuple(v) for v in self._full.kernel_basis())
         bm = diagram.boundary_mat
         self._region_cols = [  # nonzero (point, entry) pairs of each column
             [(p, row[r]) for p, row in enumerate(bm) if row[r]]
@@ -148,11 +156,6 @@ class DomainCalculator:
 
     # -- basic plumbing ----------------------------------------------------
 
-    def _gen(self, x):
-        if isinstance(x, Generator):
-            return x
-        return self._gens[x]
-
     def _indicator_diff(self, src, dst):
         # right-hand side of the beta-boundary system: indicator(src) - indicator(dst)
         rhs = [0] * self.dg.num_points
@@ -162,14 +165,8 @@ class DomainCalculator:
             rhs[p] -= 1
         return rhs
 
-    def _full_coeffs(self, dom):
-        c = dom.coeffs
-        if len(c) == self.num_regions:
-            return c
-        return c + (0,) * (self.num_regions - len(c))
-
     def _check_boundary(self, dom):
-        rhs = self._indicator_diff(self._gen(dom.src), self._gen(dom.dst))
+        rhs = self._indicator_diff(self._gens[dom.src], self._gens[dom.dst])
         got = [0] * self.dg.num_points
         for cr, col in zip(dom.coeffs, self._region_cols):
             if cr:
@@ -198,13 +195,14 @@ class DomainCalculator:
     # -- periodic domains and admissibility --------------------------------
 
     def periodic_domain_basis(self):
+        """Coefficient tuples of a basis of the periodic hat domains."""
         return self._periodic
 
     def check_weak_admissibility(self):
         """True iff no nonzero combination of periodic domains is >= 0."""
         if self._admissible is None:
             self._admissible = cone_is_trivial(
-                self._basis_rows, self._periodic.rank)
+                self._basis_rows, len(self._periodic))
         return self._admissible
 
     # -- connecting and positive domains -----------------------------------
@@ -243,25 +241,23 @@ class DomainCalculator:
 
     def connecting_domain(self, x, y):
         """Some hat domain from x to y, or None when none exists."""
-        xg, yg = self._gen(x), self._gen(y)
         pots = self._generator_potentials()
-        rx, sx, qx = pots[xg.index]
-        ry, sy, qy = pots[yg.index]
+        rx, sx, qx = pots[x]
+        ry, sy, qy = pots[y]
         if rx != ry or sx != sy:
             return None
         coeffs = tuple(b - a for a, b in zip(qx[: self.num_unpointed], qy))
-        return self._check_boundary(Domain(coeffs, xg.index, yg.index))
+        return self._check_boundary(Domain(coeffs, x, y))
 
     def full_connecting_domain(self, x, y):
         """Some chain over all regions from x to y, or None."""
-        xg, yg = self._gen(x), self._gen(y)
         pots = self._generator_potentials()
-        rx, _, qx = pots[xg.index]
-        ry, _, qy = pots[yg.index]
+        rx, _, qx = pots[x]
+        ry, _, qy = pots[y]
         if rx != ry:
             return None
         coeffs = tuple(b - a for a, b in zip(qx, qy))
-        return self._check_boundary(FullDomain(coeffs, xg.index, yg.index))
+        return self._check_boundary(Domain(coeffs, x, y))
 
     def find_pos_domains(self, x, y):
         """Every nonnegative hat domain from x to y, sorted by coefficients.
@@ -273,44 +269,46 @@ class DomainCalculator:
         calculator (linalg.PolytopeScan); a pair only combines the integer
         constants of base and runs an integer scan.
         """
-        xg, yg = self._gen(x), self._gen(y)
-        d0 = self.connecting_domain(xg, yg)
+        d0 = self.connecting_domain(x, y)
         if d0 is None:
             return []
         base = d0.coeffs
         if self._scan is None:
-            self._scan = PolytopeScan(self._basis_rows, self._periodic.rank)
+            self._scan = PolytopeScan(self._basis_rows, len(self._periodic))
         try:
             ts = self._scan.points(base)
         except UnboundedPolytopeError as err:
             raise AdmissibilityError(
                 "positive domains %s -> %s form an unbounded set; "
-                "the diagram is not weakly admissible" % (xg, yg)
+                "the diagram is not weakly admissible"
+                % (self._gens[x], self._gens[y])
             ) from err
-        basis = [d.coeffs for d in self._periodic.basis]
         out = []
         for t in ts:
             coeffs = base
-            for tj, bj in zip(t, basis):
+            for tj, bj in zip(t, self._periodic):
                 if tj:
                     coeffs = tuple(c + tj * v for c, v in zip(coeffs, bj))
             if any(v < 0 for v in coeffs):
                 raise DomainError(
-                    "lattice scan left the nonnegative cone: %s -> %s" % (xg, yg)
+                    "lattice scan left the nonnegative cone: %s -> %s"
+                    % (self._gens[x], self._gens[y])
                 )
-            out.append(self._check_boundary(Domain(coeffs, xg.index, yg.index)))
+            out.append(self._check_boundary(Domain(coeffs, x, y)))
         out.sort(key=lambda d: d.coeffs)
         return out
 
     # -- Maslov index and friends -------------------------------------------
 
     def maslov_index(self, dom):
-        """(n_x + n_y + 2e)(D), which lands in ZZ for honest domains."""
-        xg, yg = self._gen(dom.src), self._gen(dom.dst)
-        c = self._full_coeffs(dom)
+        """(n_x + n_y + 2e)(D), which lands in ZZ for honest domains.
+
+        A periodic domain read from g to g gives g's Chern number.
+        """
+        c = dom.coeffs
         tot = (
-            self._pm4_sum(c, xg.points)
-            + self._pm4_sum(c, yg.points)
+            self._pm4_sum(c, self._gens[dom.src].points
+                          + self._gens[dom.dst].points)
             + 2 * self._em2_total(c)
         )
         if tot % 4:
@@ -319,21 +317,12 @@ class DomainCalculator:
 
     def j_plus(self, dom):
         """maslov - 2e + (cycles of src) - (cycles of dst)."""
-        xg, yg = self._gen(dom.src), self._gen(dom.dst)
         return (
             self.maslov_index(dom)
-            - self._em2_total(self._full_coeffs(dom))
-            + xg.cycles()
-            - yg.cycles()
+            - self._em2_total(dom.coeffs)
+            + self._gens[dom.src].cycles()
+            - self._gens[dom.dst].cycles()
         )
-
-    def maslov_as_periodic(self, coeffs, g):
-        """Index of a periodic chain read with g as both endpoints."""
-        gg = self._gen(g)
-        tot = 2 * self._pm4_sum(coeffs, gg.points) + 2 * self._em2_total(coeffs)
-        if tot % 4:
-            raise DomainError("periodic index numerator %d not /4" % tot)
-        return tot // 4
 
     # -- boundary curve shape (domain_type) ---------------------------------
 
@@ -349,10 +338,10 @@ class DomainCalculator:
         stationary points, which are trivial strips; g reads the closed-up
         genus (2 - chi - b)/2 of a connected curve.
         """
-        c = self._full_coeffs(dom)
+        c = dom.coeffs
         if any(v < 0 for v in c):
             raise DomainError("domain_type needs a nonnegative domain")
-        xg, yg = self._gen(dom.src), self._gen(dom.dst)
+        xg, yg = self._gens[dom.src], self._gens[dom.dst]
         jp = self.j_plus(dom)
         if not any(c):
             return (jp, 0, 0, 0)
@@ -361,13 +350,12 @@ class DomainCalculator:
         s = sum(
             1
             for p in stationary
-            if all(self._pm4[r][p] == 0 for r in range(self.num_regions) if c[r])
+            if all(self._pm4[r][p] == 0 for r, cr in enumerate(c) if cr)
         )
         num = (
             4 * (self.dg.num_curves - s)
             + 2 * self._em2_total(c)
-            - self._pm4_sum(c, xg.points)
-            - self._pm4_sum(c, yg.points)
+            - self._pm4_sum(c, xg.points + yg.points)
         )
         if num % 4:
             raise DomainError("Euler characteristic %d/4 not integral" % num)
@@ -384,29 +372,27 @@ class DomainCalculator:
         """Partition generators by full-chain connectivity; grade each class."""
         if self._spinc is not None:
             return self._spinc
-        gens = self._gens
+        n = len(self._gens)
         pots = self._generator_potentials()
         class_members = []
         anchors = []
-        class_of = [None] * len(gens)
+        class_of = [None] * n
         class_by_residue = {}
-        conn = {}  # generator index -> FullDomain from its class anchor
-        for g in gens:
-            ci = class_by_residue.setdefault(pots[g.index][0], len(anchors))
-            class_of[g.index] = ci
+        conn = {}  # generator index -> full Domain from its class anchor
+        for i in range(n):
+            ci = class_by_residue.setdefault(pots[i][0], len(anchors))
+            class_of[i] = ci
             if ci == len(anchors):
-                anchors.append(g)
-                class_members.append([g.index])
-                conn[g.index] = FullDomain(
-                    (0,) * self.num_regions, g.index, g.index
-                )
+                anchors.append(i)
+                class_members.append([i])
+                conn[i] = Domain((0,) * self.num_regions, i, i)
             else:
-                class_members[ci].append(g.index)
-                conn[g.index] = self.full_connecting_domain(anchors[ci], g)
+                class_members[ci].append(i)
+                conn[i] = self.full_connecting_domain(anchors[ci], i)
 
-        basis = [d.coeffs for d in self._periodic.basis]
         chern = tuple(
-            tuple(self.maslov_as_periodic(bc, g) for bc in basis) for g in gens
+            tuple(self.maslov_index(Domain(bc, i, i)) for bc in self._periodic)
+            for i in range(n)
         )
         for members in class_members:
             first = chern[members[0]]
@@ -420,10 +406,8 @@ class DomainCalculator:
             anchor = anchors[ci]
             d = 0
             for q in self._full_kernel:
-                quantity = self.maslov_as_periodic(q, anchor) - 2 * sum(
-                    q[-npt:]
-                )
-                d = gcd(d, quantity)
+                d = gcd(d, self.maslov_index(Domain(q, anchor, anchor))
+                        - 2 * sum(q[-npt:]))
             divs.append(d)
             gr = {}
             for i in members:
@@ -431,7 +415,7 @@ class DomainCalculator:
                 mu = self.maslov_index(dom)
                 nz = sum(dom.coeffs[-npt:])
                 val = -(mu - 2 * nz)  # gr(anchor) - gr(i) = mu - 2 nz
-                gr[i] = val % d if d else val
+                gr[i] = _level(val, d)
             gradings.append(gr)
 
         self._spinc = SpinCTable(
@@ -459,17 +443,13 @@ class DomainCalculator:
         if class_index in self._index1:
             return self._index1[class_index]
         members = table.classes[class_index]
-        d = table.div[class_index]
         gr = table.gradings[class_index]
-        at_level = {}
-        for i in members:
-            at_level.setdefault(gr[i], []).append(i)
+        at_level = table.levels(class_index)
         points = ({i: frozenset(self._gens[i].points) for i in members}
                   if is_nice(self.dg) else None)
         out = {}
         for i in members:
-            below = gr[i] - 1
-            for j in at_level.get(below % d if d else below, ()):
+            for j in at_level.get(table.step(class_index, gr[i], -1), ()):
                 if i == j or (points is not None
                               and len(points[i] ^ points[j]) > 4):
                     continue

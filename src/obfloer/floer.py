@@ -6,16 +6,20 @@ the GF(2) differential is a finite count.  The count splits by J+ into
 d0 (J+ = 0) and d1 (J+ = 2); both are differentials and they commute.
 Nothing here scans: the domains come from the calculator's index-1
 table, and find_diffs raises FloerError on one that is not a bigon or
-rectangle with J+ in {0, 2}.
+rectangle with J+ in {0, 2}.  Levels and their cyclic steps come from
+the calculator's SpinCTable.
 The contact class lives in the distinguished generator's class, and its
 spectral order is computed from the two-level piece C1 -> C0 anchored
-there: reduce by the minimal subspace K, run the delta = d0 d1^{-1}
-iteration, and certify any finite answer with explicit zigzag chains.
+there (one cached CanonicalPiece): reduce by the minimal subspace K, run
+the delta = d0 d1^{-1} iteration, and certify any finite answer with
+explicit zigzag chains.  A distinguished generator that is not a cycle
+raises NotOpenBookError: the input does not come from an open book.
 
 Vectors over GF(2) are bit-packed ints throughout (see linalg).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import F2Map, F2Quotient, F2Subspace, affine_meets_subspace
 from .nicefy import is_nice
@@ -27,6 +31,10 @@ class FloerError(Exception):
 
 class NotNiceError(FloerError):
     """The diagram has an unpointed region that is not a bigon or square."""
+
+
+class NotOpenBookError(FloerError):
+    """The distinguished generator is not a cycle."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +78,19 @@ class SplitDifferential:
     d0: dict
     d1: dict
     entries: dict
+
+
+@dataclass(frozen=True)
+class CanonicalPiece:
+    """The distinguished generator xi, its class, and the two levels
+    C0 (xi's) and C1 (one above) with their members."""
+
+    xi: int
+    class_index: int
+    lv0: int
+    lv1: int
+    c0: tuple
+    c1: tuple
 
 
 @dataclass(frozen=True)
@@ -313,7 +334,6 @@ class NiceComplex:
         self.calc = calc
         self.table = calc.spinc_partition()
         self._split = {}
-        self._canonical = None
 
     # -- differentials ------------------------------------------------------
 
@@ -323,16 +343,15 @@ class NiceComplex:
         if ci != self.table.class_of[j]:
             raise FloerError(
                 "generators %d and %d lie in different classes" % (i, j))
-        gr, dv = self.table.gradings[ci], self.table.div[ci]
-        drop = gr[i] - gr[j] - 1
-        if (drop % dv if dv else drop) != 0:
+        gr = self.table.gradings[ci]
+        if gr[i] != self.table.step(ci, gr[j], 1):
             raise FloerError(
                 "generators %d -> %d are not one grading apart" % (i, j))
         doms = tuple(self.calc.index1_differentials(ci).get((i, j), ()))
         j0 = j2 = 0
         for dom in doms:
             # the theorem the table's near-pair pruning rests on
-            em2 = self.calc._em2_total(self.calc._full_coeffs(dom))
+            em2 = self.calc._em2_total(dom.coeffs)
             if em2 not in (0, 1):
                 raise FloerError("index-1 domain on a nice diagram must be "
                                  "a bigon or a rectangle")
@@ -354,15 +373,9 @@ class NiceComplex:
     def build_boundary(self, class_index):
         if class_index in self._split:
             return self._split[class_index]
-        members = self.table.classes[class_index]
         gr = self.table.gradings[class_index]
-        dv = self.table.div[class_index]
-        if dv:
-            levels = tuple(range(dv - 1, -1, -1))
-        else:
-            top, bot = max(gr.values()), min(gr.values())
-            levels = tuple(range(top, bot - 1, -1))
-        basis = {g: tuple(i for i in members if gr[i] == g) for g in levels}
+        basis = self.table.levels(class_index)
+        levels = tuple(basis)
         pos = {i: n for g in levels for n, i in enumerate(basis[g])}
         # column pos[i] of a level's maps has bit pos[j] set for each entry
         # i -> j of odd count in that J+ flavor
@@ -378,15 +391,15 @@ class NiceComplex:
 
         d_hat, d0, d1 = {}, {}, {}
         for s in levels:
-            t = (s - 1) % dv if dv else s - 1
+            t = self.table.step(class_index, s, -1)
             if t not in basis:
                 continue
             n = len(basis[t])
             d_hat[s] = F2Map([a ^ b for a, b in zip(c0[s], c1[s])], n)
             d0[s], d1[s] = F2Map(c0[s], n), F2Map(c1[s], n)
 
-        sd = SplitDifferential(class_index, dv, levels, basis, d_hat, d0, d1,
-                               entries)
+        sd = SplitDifferential(class_index, self.table.div[class_index], levels,
+                               basis, d_hat, d0, d1, entries)
         self._assert_identities(sd)
         self._split[class_index] = sd
         return sd
@@ -395,7 +408,7 @@ class NiceComplex:
         # composites across consecutive levels vanish flavor by flavor,
         # and the two flavors commute
         for s in sd.levels:
-            t = (s - 1) % sd.div if sd.div else s - 1
+            t = self.table.step(sd.class_index, s, -1)
             if s not in sd.d_hat or t not in sd.d_hat:
                 continue
             for maps in (sd.d_hat, sd.d0, sd.d1):
@@ -416,7 +429,7 @@ class NiceComplex:
         ranks = []
         total = 0
         for g in sd.levels:
-            src = (g + 1) % sd.div if sd.div else g + 1
+            src = self.table.step(class_index, g, 1)
             out_rank = sd.d_hat[g].rank() if g in sd.d_hat else 0
             in_rank = sd.d_hat[src].rank() if src in sd.d_hat else 0
             r = len(sd.basis[g]) - out_rank - in_rank
@@ -429,39 +442,33 @@ class NiceComplex:
 
     # -- the distinguished class --------------------------------------------
 
+    @cached_property
+    def _canonical(self):
+        xi = self.diagram.contact_generator().index
+        ci = self.table.class_of[xi]
+        lv0 = self.table.gradings[ci][xi]
+        lv1 = self.table.step(ci, lv0, 1)
+        basis = self.build_boundary(ci).basis
+        return CanonicalPiece(xi, ci, lv0, lv1, basis[lv0], basis.get(lv1, ()))
+
     def sort_canonical_spinc(self):
         """(C0, C1): the distinguished generator's level and the one above."""
-        if self._canonical is not None:
-            return self._canonical[:2]
-        xc = self.diagram.contact_generator()
-        xi = xc.index
-        ci = self.table.class_of[xi]
-        gr, dv = self.table.gradings[ci], self.table.div[ci]
-        g0 = gr[xi]
-        sd = self.build_boundary(ci)
-        lv0 = g0 % dv if dv else g0
-        lv1 = (g0 + 1) % dv if dv else g0 + 1
-        c0 = sd.basis[lv0]
-        c1 = sd.basis.get(lv1, ())
-        self._canonical = (c0, c1, xi, ci, lv0, lv1)
-        return c0, c1
+        return self._canonical.c0, self._canonical.c1
 
     def _canonical_maps(self):
-        c0, c1 = self.sort_canonical_spinc()
-        _, _, xi, ci, lv0, lv1 = self._canonical
-        sd = self.build_boundary(ci)
-        x = 1 << c0.index(xi)
-        if lv1 in sd.d_hat:
-            maps = (sd.d_hat[lv1], sd.d0[lv1], sd.d1[lv1])
+        cp = self._canonical
+        sd = self.build_boundary(cp.class_index)
+        pos = cp.c0.index(cp.xi)
+        if cp.lv1 in sd.d_hat:
+            maps = (sd.d_hat[cp.lv1], sd.d0[cp.lv1], sd.d1[cp.lv1])
         else:
-            maps = tuple(F2Map([], len(c0)) for _ in range(3))
+            maps = tuple(F2Map([], len(cp.c0)) for _ in range(3))
         # the distinguished generator must be a cycle
-        if lv0 in sd.d_hat:
-            if sd.d_hat[lv0].cols[c0.index(xi)] != 0:
-                raise FloerError(
-                    "distinguished generator has nonzero boundary; the "
-                    "diagram does not come from an open book")
-        return x, maps, sd
+        if cp.lv0 in sd.d_hat and sd.d_hat[cp.lv0].cols[pos]:
+            raise NotOpenBookError(
+                "distinguished generator has nonzero boundary; the "
+                "diagram does not come from an open book")
+        return 1 << pos, maps, sd
 
     def check_contact_class(self):
         x, (m_hat, _, _), _ = self._canonical_maps()
@@ -470,11 +477,10 @@ class NiceComplex:
     def compute_order(self):
         contact = self.check_contact_class()
         x, (_, m0, m1), sd = self._canonical_maps()
-        c0, c1 = self.sort_canonical_spinc()
-        xi = self._canonical[2]
+        cp = self._canonical
         core = order_from_split(m0, m1, x)
         if core.value is not None:
-            cert = tuple(tuple(c1[t] for t in _bits(b))
+            cert = tuple(tuple(cp.c1[t] for t in _bits(b))
                          for b in core.certificate)
         else:
             cert = ()
@@ -483,7 +489,7 @@ class NiceComplex:
         # a vanishing contact class in the torsion setting must have
         # finite order
         if (contact == "zero" and sd.div == 0
-                and not any(self.table.chern[xi])):
+                and not any(self.table.chern[cp.xi])):
             if res.value is None:
                 raise FloerError(
                     "zero contact class with finite-order obstruction missing")

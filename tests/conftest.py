@@ -102,7 +102,7 @@ def box_scan(calc, x, y):
     d0 = calc.connecting_domain(x, y)
     if d0 is None:
         return []
-    basis = [p.coeffs for p in calc.periodic_domain_basis().basis]
+    basis = calc.periodic_domain_basis()
     rank = len(basis)
     if rank == 0:
         return [d0.coeffs] if all(c >= 0 for c in d0.coeffs) else []

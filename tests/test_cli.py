@@ -3,6 +3,7 @@
 Runs main() in-process; every invocation writes into a fresh tmp dir.
 """
 
+import ast
 import json
 import runpy
 
@@ -202,6 +203,14 @@ def test_refusal_and_internal_error_under_python_O(tmp_path):
                                     "--out-dir", tmp_path])
     assert rc == 3
     assert "admissible" in err
+    rc, _, _ = run_cli_optimized(["makenice", "--input", fix("s3_wiggle"),
+                                  "--out-dir", tmp_path])
+    assert rc == 0
+    rc, _, err = run_cli_optimized(
+        ["contact", "--input", tmp_path / "s3_wiggle_nice.json",
+         "--out-dir", tmp_path])
+    assert rc == 3
+    assert "refused: distinguished generator has nonzero boundary" in err
     rc, _, err = run_cli_optimized(
         ["homology", "--input", fix("s3_overtwisted"), "--out-dir", tmp_path],
         prelude="from obfloer.domains import DomainCalculator\n"
@@ -231,6 +240,17 @@ def test_refusal_and_internal_error_under_python_O(tmp_path):
                 "obfloer.nicefy._relabel = lambda dg: raw" % str(fix("r6")))
     assert rc == 4
     assert "internal error: make_nice ended on a diagram that is not nice" in err
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so an invariant written as one would turn an
+    # exit 4 into a wrong answer; invariants raise typed errors instead
+    sources = sorted((FIXTURES.parent / "src" / "obfloer").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, "%s: assert on lines %s" % (path.name, lines)
 
 
 def test_contact_and_order_tight(tmp_path, capsys):
@@ -277,14 +297,17 @@ def test_contact_convention_violation_refused(tmp_path, capsys):
     assert "convention" in err
 
 
-def test_contact_non_open_book_is_internal_error(tmp_path, capsys):
+def test_contact_non_open_book_is_refused(tmp_path, capsys):
+    # a distinguished generator that is not a cycle is a property of the
+    # input, not a fault of the program
     rc, _, _ = run(capsys, "makenice", "--input", fix("s3_wiggle"),
                    "--out-dir", tmp_path)
     assert rc == 0
     rc, _, err = run(capsys, "contact", "--input", tmp_path / "s3_wiggle_nice.json",
                      "--out-dir", tmp_path)
-    assert rc == 4
-    assert "nonzero boundary" in err
+    assert rc == 3
+    assert "refused: distinguished generator has nonzero boundary" in err
+    assert not (tmp_path / "s3_wiggle_nice_contact.json").exists()
 
 
 # -- plot ---------------------------------------------------------------------

@@ -15,8 +15,8 @@ import pytest
 from obfloer.diagram import build_diagram, make_region_list
 from obfloer.domains import (
     AdmissibilityError,
+    Domain,
     DomainCalculator,
-    FullDomain,
     SpinCTable,
 )
 from obfloer.linalg import IntSolver, UnboundedPolytopeError, lattice_points
@@ -62,22 +62,23 @@ def oracle_spinc_partition(calc):
             members.append([g.index])
             class_of[g.index] = len(anchors) - 1
             conn[g.index] = [0] * dg.num_regions
-    basis = [d.coeffs for d in calc.periodic_domain_basis().basis]
+    basis = calc.periodic_domain_basis()
     chern = tuple(
-        tuple(calc.maslov_as_periodic(b, g) for b in basis) for g in gens
+        tuple(calc.maslov_index(Domain(b, g.index, g.index)) for b in basis)
+        for g in gens
     )
     npt = dg.num_pointed
     divs, gradings = [], []
     for ci, mem in enumerate(members):
-        d = 0
+        d, a = 0, anchors[ci].index
         for q in full.kernel_basis():
-            d = gcd(d, calc.maslov_as_periodic(q, anchors[ci])
+            d = gcd(d, calc.maslov_index(Domain(tuple(q), a, a))
                     - 2 * sum(q[-npt:]))
         divs.append(d)
         gr = {}
         for i in mem:
             c = conn[i]
-            mu = calc.maslov_index(FullDomain(tuple(c), anchors[ci].index, i))
+            mu = calc.maslov_index(Domain(tuple(c), anchors[ci].index, i))
             val = -(mu - 2 * sum(c[-npt:]))
             gr[i] = val % d if d else val
         gradings.append(gr)
@@ -123,7 +124,7 @@ class PairOracle:
         self.calc = calc
         dg = calc.dg
         self.hat = IntSolver(dg.boundary_mat, ncols=dg.num_unpointed)
-        self.basis = [d.coeffs for d in calc.periodic_domain_basis().basis]
+        self.basis = calc.periodic_domain_basis()
 
     def connecting(self, xg, yg):
         return self.hat.solve(_indicator_diff(self.calc.dg, xg, yg))
@@ -208,9 +209,9 @@ def test_fixture_matches_oracles(name):
     if len(gens) <= 40:
         for x in gens:
             for y in gens:
-                hat = calc.connecting_domain(x, y)
+                hat = calc.connecting_domain(x.index, y.index)
                 assert (hat is None) == (pairs.connecting(x, y) is None)
-                full = calc.full_connecting_domain(x, y)
+                full = calc.full_connecting_domain(x.index, y.index)
                 full_only += hat is None and full is not None
     assert (full_only > 0) == (name == "twice_pointed")
 
