@@ -385,6 +385,13 @@ def _render_text(command, doc):
 # entry
 
 
+def _move_cap(text):
+    """--move-cap N: an integer N >= 0 (0 refuses at the first move)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return int(text)
+
+
 def _parse_args(argv):
     ap = argparse.ArgumentParser(
         prog="obfloer",
@@ -399,7 +406,7 @@ def _parse_args(argv):
                     help="directory for output artifacts (default: .)")
     ap.add_argument("--spinc", type=int, default=None, metavar="K",
                     help="restrict to one spin-c class")
-    ap.add_argument("--move-cap", type=int, default=10 ** 6, metavar="N",
+    ap.add_argument("--move-cap", type=_move_cap, default=10 ** 6, metavar="N",
                     help="refuse after N finger moves")
     ap.add_argument("--format", choices=("json", "text"), default="text",
                     dest="fmt", help="stdout format (files are unaffected)")

@@ -21,7 +21,9 @@ potential: a chain whose boundary is the generator up to the residue.
 Two generators are joined by a full domain iff their residues agree, and
 the difference of their potentials is then one; a second residue, of the
 pointed coefficients modulo the full periodic domains, decides the same
-for hat domains.  No solve runs per pair of generators.
+for hat domains.  No solve and no boundary check runs per pair: each
+potential is checked once, and a difference of two checked potentials
+has the right boundary by linearity.
 
 The calculator exposes:
 
@@ -32,13 +34,16 @@ The calculator exposes:
     potentials), or the full list of nonnegative solutions (a
     bounded-polytope lattice scan around it, sorted).  The scan's rows are
     the regions' periodic rows, fixed per calculator: Fourier-Motzkin runs
-    on them once, with parallel rows collapsed at every level, and each
-    pair then only combines its integer constants (linalg.PolytopeScan).
-    Regions with no periodic row are a sign check before any scan;
+    on them once, with parallel rows collapsed at every level, into a
+    compiled straight-line kernel that each pair calls with its integer
+    constants (linalg.PolytopeScan).  Regions with no periodic row are a
+    sign check before any scan; every domain found is checked;
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
     switches, and the (J+, chi, b, g) shape of the underlying curve, its
     boundary circles read off the two generators' permutations; a Chern
-    number is the index of a periodic domain read from g to g;
+    number is the index of a periodic domain read from g to g.  Point
+    measures enter through per-generator corner weights, one pass over
+    the regions per domain;
   * spinc_partition / index1_differentials: SpinC classes (generators
     grouped by residue) with Chern numbers, divisibility, relative
     gradings, and the candidate differentials (positive index-1 domains
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul, sub
 
 from .diagram import cycle_count
 from .linalg import IntSolver, PolytopeScan, UnboundedPolytopeError, cone_is_trivial
@@ -130,7 +136,6 @@ class DomainCalculator:
         self.dg = diagram
         self.num_regions = diagram.num_regions
         self.num_unpointed = diagram.num_unpointed
-        self._pm4 = diagram.point_measures_4  # [region][point]
         self._em2 = diagram.euler_measures_2
         self._full = IntSolver(diagram.boundary_mat, ncols=self.num_regions)
         self._periodic = tuple(tuple(v) for v in IntSolver(
@@ -147,7 +152,13 @@ class DomainCalculator:
             [(p, row[r]) for p, row in enumerate(bm) if row[r]]
             for r in range(self.num_regions)
         ]
+        self._point_corners = [  # nonzero (region, point measure) at each point
+            [(r, row[p]) for r, row in enumerate(diagram.point_measures_4)
+             if row[p]]
+            for p in range(diagram.num_points)
+        ]
         self._gens = diagram.generators()
+        self._weights = [None] * len(self._gens)  # see _corner_weights
         self._potentials = None
         self._scan = None  # PolytopeScan of the periodic rows, built lazily
         self._admissible = None
@@ -165,13 +176,18 @@ class DomainCalculator:
             rhs[p] -= 1
         return rhs
 
-    def _check_boundary(self, dom):
-        rhs = self._indicator_diff(self._gens[dom.src], self._gens[dom.dst])
+    def _boundary(self, coeffs):
+        """boundary_mat . coeffs, a 0-chain of points."""
         got = [0] * self.dg.num_points
-        for cr, col in zip(dom.coeffs, self._region_cols):
+        for cr, col in zip(coeffs, self._region_cols):
             if cr:
                 for p, e in col:
                     got[p] += cr * e
+        return got
+
+    def _check_boundary(self, dom):
+        rhs = self._indicator_diff(self._gens[dom.src], self._gens[dom.dst])
+        got = self._boundary(dom.coeffs)
         if got != rhs:
             p = next(p for p, (g, w) in enumerate(zip(got, rhs)) if g != w)
             raise DomainError(
@@ -179,18 +195,19 @@ class DomainCalculator:
             )
         return dom
 
-    def _pm4_sum(self, coeffs, points):
-        pm4 = self._pm4
-        tot = 0
-        for r, cr in enumerate(coeffs):
-            if cr:
-                row = pm4[r]
-                for p in points:
-                    tot += cr * row[p]
-        return tot
+    def _corner_weights(self, g):
+        """Per region r, the sum of point_measures_4[r][p] over generator
+        g's points p; computed once per generator."""
+        w = self._weights[g]
+        if w is None:
+            w = self._weights[g] = [0] * self.num_regions
+            for p in self._gens[g].points:
+                for r, v in self._point_corners[p]:
+                    w[r] += v
+        return w
 
     def _em2_total(self, coeffs):
-        return sum(cr * e for cr, e in zip(coeffs, self._em2) if cr)
+        return sum(map(mul, coeffs, self._em2))
 
     # -- periodic domains and admissibility --------------------------------
 
@@ -217,6 +234,10 @@ class DomainCalculator:
         pointed coefficients down to their canonical residue modulo the
         pointed rows of the full kernel; a hat domain exists iff both
         residues agree, and Q_y - Q_x is then one (pointed part zero).
+
+        Each Q_g is checked once: boundary -indicator(g) - r_g, pointed
+        part s_g.  By linearity each difference then has the boundary
+        indicator(x) - indicator(y), so no pair is checked again.
         """
         if self._potentials is None:
             nu, npt = self.num_unpointed, self.dg.num_pointed
@@ -235,6 +256,11 @@ class DomainCalculator:
                 for k, w in zip(kern, pointed.apply_u(z)):
                     if w:
                         chain = [c - w * v for c, v in zip(chain, k)]
+                if (self._boundary(chain) != [a - b for a, b in zip(rhs, r)]
+                        or chain[nu:] != s):
+                    raise DomainError(
+                        "potential of generator %s fails its boundary identity"
+                        % (g,))
                 pots.append((tuple(r), tuple(s), chain))
             self._potentials = pots
         return self._potentials
@@ -246,8 +272,7 @@ class DomainCalculator:
         ry, sy, qy = pots[y]
         if rx != ry or sx != sy:
             return None
-        coeffs = tuple(b - a for a, b in zip(qx[: self.num_unpointed], qy))
-        return self._check_boundary(Domain(coeffs, x, y))
+        return Domain(tuple(map(sub, qy[: self.num_unpointed], qx)), x, y)
 
     def full_connecting_domain(self, x, y):
         """Some chain over all regions from x to y, or None."""
@@ -256,8 +281,7 @@ class DomainCalculator:
         ry, _, qy = pots[y]
         if rx != ry:
             return None
-        coeffs = tuple(b - a for a, b in zip(qx, qy))
-        return self._check_boundary(Domain(coeffs, x, y))
+        return Domain(tuple(map(sub, qy, qx)), x, y)
 
     def find_pos_domains(self, x, y):
         """Every nonnegative hat domain from x to y, sorted by coefficients.
@@ -289,7 +313,7 @@ class DomainCalculator:
             for tj, bj in zip(t, self._periodic):
                 if tj:
                     coeffs = tuple(c + tj * v for c, v in zip(coeffs, bj))
-            if any(v < 0 for v in coeffs):
+            if coeffs and min(coeffs) < 0:
                 raise DomainError(
                     "lattice scan left the nonnegative cone: %s -> %s"
                     % (self._gens[x], self._gens[y])
@@ -307,8 +331,8 @@ class DomainCalculator:
         """
         c = dom.coeffs
         tot = (
-            self._pm4_sum(c, self._gens[dom.src].points
-                          + self._gens[dom.dst].points)
+            sum(map(mul, c, self._corner_weights(dom.src)))
+            + sum(map(mul, c, self._corner_weights(dom.dst)))
             + 2 * self._em2_total(c)
         )
         if tot % 4:
@@ -346,20 +370,15 @@ class DomainCalculator:
         if not any(c):
             return (jp, 0, 0, 0)
 
-        stationary = set(xg.points) & set(yg.points)
+        # stationary points with no corner in a region of the domain
         s = sum(
             1
-            for p in stationary
-            if all(self._pm4[r][p] == 0 for r, cr in enumerate(c) if cr)
+            for p in set(xg.points) & set(yg.points)
+            if not any(r < len(c) and c[r] for r, _ in self._point_corners[p])
         )
-        num = (
-            4 * (self.dg.num_curves - s)
-            + 2 * self._em2_total(c)
-            - self._pm4_sum(c, xg.points + yg.points)
-        )
-        if num % 4:
-            raise DomainError("Euler characteristic %d/4 not integral" % num)
-        chi = num // 4
+        # maslov_index is n_x + n_y + e, and em2 counts 2e
+        chi = (self.dg.num_curves - s + self._em2_total(c)
+               - self.maslov_index(dom))
         alpha_at = {j: i for i, j in enumerate(xg.permutation)}
         b = cycle_count([alpha_at[j] for j in yg.permutation]) - s
         if (2 - chi - b) % 2:

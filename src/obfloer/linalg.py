@@ -10,7 +10,7 @@ Three independent toolboxes, all exact (no floating point anywhere):
   * integer points of rational polyhedra {t : A t + c >= 0} by
     Fourier-Motzkin elimination and interval DFS: lattice_points for one
     system, PolytopeScan for one A and many c (the projection compiled
-    once, each c then an integer scan).
+    once into a generated function, each c then one call of it).
 """
 
 from __future__ import annotations
@@ -454,23 +454,28 @@ class PolytopeScan:
     and raises UnboundedPolytopeError exactly when lattice_points does.
     Constants are never rounded between levels, which could turn a
     real-feasible but integer-empty system from a raise into [].
+
+    The projection is compiled once into a straight-line kernel
+    (_scan_source): the constant-row checks, each level's group minima,
+    and one nested loop per coordinate with its bounds written out.
+    lattice_points is the reference the kernel is tested against.
     """
 
     def __init__(self, rows, nvars):
         self.nvars = nvars
         # rows with a = 0: each constant alone must be >= 0
-        self._fixed = [k for k, a in enumerate(rows) if not any(a)]
+        fixed = [k for k, a in enumerate(rows) if not any(a)]
         # steps[s]: (forms of each group, forms of rows with a = 0) from the
         # constants of level nvars - s + 1 (the input at s = 0) to those of
         # level nvars - s, whose rows involve t_0 .. t_{nvars-s-1}
-        self._steps = []
+        steps = []
         # bounds[l]: the rows of level l + 1 that bound t_l, as lists of
         # (|a_l|, coefficients of t_0 .. t_{l-1}, group): lower, upper
-        self._bounds = [None] * nvars
+        bounds = [None] * nvars
         cands = [(tuple(a), (1, k, 0, 0)) for k, a in enumerate(rows) if any(a)]
         for level in range(nvars, -1, -1):
             groups, zero = _collapse(cands)
-            self._steps.append(([forms for _, forms in groups], zero))
+            steps.append(([forms for _, forms in groups], zero))
             if not level:
                 break
             lows, highs, cands = [], [], []
@@ -485,51 +490,86 @@ class PolytopeScan:
                 for q, an, gn in highs:
                     comb = tuple(q * x + p * y for x, y in zip(ap, an))
                     cands.append((comb, (q, gp, p, gn)))
-            self._bounds[level - 1] = (lows, highs)
+            bounds[level - 1] = (lows, highs)
+        space = {"UnboundedPolytopeError": UnboundedPolytopeError}
+        exec(_scan_source(fixed, steps, bounds, nvars), space)
+        self._kernel = space["scan"]
 
     def points(self, consts):
         """All integer points for these constants (one per row), in
         lexicographic order; [] as soon as a constant row is negative."""
-        if any(consts[k] < 0 for k in self._fixed):
-            return []
-        levels = []  # levels[s]: group constants of level nvars - s
-        cur = consts
-        for forms, zero in self._steps:
-            for m, i, n, j in zero:
-                if m * cur[i] + n * cur[j] < 0:
-                    return []
-            cur = [
-                min([m * cur[i] + n * cur[j] for m, i, n, j in fs]) for fs in forms
-            ]
-            levels.append(cur)
-        nvars = self.nvars
-        if not nvars:
-            return [()]
-        out = []
-        prefix = []
+        return self._kernel(consts)
 
-        def scan(level):
-            lows, highs = self._bounds[level]
-            if not lows or not highs:
-                raise UnboundedPolytopeError(
-                    "coordinate t_%d is unbounded over a feasible prefix" % level
-                )
-            c = levels[nvars - 1 - level]
-            lo = max(
-                -((c[g] + sum(x * y for x, y in zip(a, prefix))) // p)
-                for p, a, g in lows
-            )
-            hi = min(
-                (c[g] + sum(x * y for x, y in zip(a, prefix))) // q
-                for q, a, g in highs
-            )
-            for t in range(lo, hi + 1):
-                prefix.append(t)
-                if level + 1 == nvars:
-                    out.append(tuple(prefix))
-                else:
-                    scan(level + 1)
-                prefix.pop()
 
-        scan(0)
-        return out
+# CPython compiles at most 20 nested loops into one function
+_LOOPS_PER_FUNCTION = 16
+
+
+def _scan_source(fixed, steps, bounds, nvars):
+    """Source of scan(c), the kernel PolytopeScan compiles.
+
+    Only ints formatted with %d enter the text.  c[k] is the k-th input
+    constant and c<l>_<g> the constant of group g at level l, or the one
+    constant it copies.  After every 16th coordinate the loops go on in a
+    nested function part<l>.
+    """
+    names = {}  # (level, group) -> source of its constant
+
+    def const(level, i):
+        return "c[%d]" % i if level > nvars else names[level, i]
+
+    def term(m, name):
+        return name if m == 1 else "%d*%s" % (m, name)
+
+    def form(level, m, i, n, j):
+        return term(m, const(level, i)) + (
+            " + " + term(n, const(level, j)) if n else "")
+
+    def quotient(level, g, a, p):  # (c_g + a . t) // p
+        src = const(level, g) + "".join(
+            " %s %s" % ("+-"[x < 0], term(abs(x), "t%d" % j))
+            for j, x in enumerate(a) if x)
+        return src if p == 1 else "(%s) // %d" % (src, p)
+
+    def bound(fn, terms):
+        return terms[0] if len(terms) == 1 else "%s(%s)" % (fn, ", ".join(terms))
+
+    head = ["def scan(c):"]
+    if fixed:
+        head.append("    if %s: return []"
+                    % " or ".join("c[%d] < 0" % k for k in fixed))
+    for s, (forms, zero) in enumerate(steps):
+        level = nvars - s
+        if zero:
+            head.append("    if %s: return []" % " or ".join(
+                "%s < 0" % form(level + 1, *f) for f in zero))
+        for g, fs in enumerate(forms):
+            src = bound("min", [form(level + 1, *f) for f in fs])
+            if len(fs) > 1 or fs[0][0] != 1 or fs[0][2]:
+                head.append("    c%d_%d = %s" % (level, g, src))
+                src = "c%d_%d" % (level, g)
+            names[level, g] = src
+    loops = lines = []
+    parts = []
+    indent = 1
+    for l, (lows, highs) in enumerate(bounds):
+        if l and l % _LOOPS_PER_FUNCTION == 0:
+            args = ", ".join("t%d" % j for j in range(l))
+            lines.append("    " * indent + "part%d(%s)" % (l, args))
+            lines = ["    def part%d(%s):" % (l, args)]
+            parts.append(lines)
+            indent = 2
+        pad = "    " * indent
+        if not lows or not highs:
+            lines.append(pad + "raise UnboundedPolytopeError('coordinate t_%d "
+                         "is unbounded over a feasible prefix')" % l)
+            break
+        lo = bound("max", ["-(%s)" % quotient(l + 1, g, a, p) for p, a, g in lows])
+        hi = bound("min", [quotient(l + 1, g, a, q) for q, a, g in highs])
+        lines.append(pad + "for t%d in range(%s, %s + 1):" % (l, lo, hi))
+        indent += 1
+    else:
+        lines.append("    " * indent + "out.append((%s))"
+                     % "".join("t%d, " % j for j in range(nvars)))
+    return "\n".join(head + [x for part in parts for x in part]
+                     + ["    out = []"] + loops + ["    return out", ""])

@@ -127,6 +127,33 @@ def box_scan(calc, x, y):
     return out
 
 
+def pm4_sum(calc, coeffs, points):
+    """Sum of coeffs[r] * point_measures_4[r][p] over regions r and the
+    given points p: the O(regions x points) form of the point-measure part
+    of a Maslov index, kept as the oracle for the per-generator corner
+    weights DomainCalculator reads it from."""
+    pm4 = calc.dg.point_measures_4
+    return sum(cr * pm4[r][p] for r, cr in enumerate(coeffs) if cr
+               for p in points)
+
+
+def check_potential_differences(calc):
+    """_check_boundary on connecting_domain and full_connecting_domain of
+    every pair in one spin-c class: the check those two made per call
+    before it moved to one check per generator potential.  Returns the
+    number of pairs checked."""
+    pairs = 0
+    for members in calc.spinc_partition().classes:
+        for x in members:
+            for y in members:
+                calc._check_boundary(calc.full_connecting_domain(x, y))
+                hat = calc.connecting_domain(x, y)
+                if hat is not None:
+                    calc._check_boundary(hat)
+                pairs += 1
+    return pairs
+
+
 SRC = FIXTURES.parent / "src"
 
 

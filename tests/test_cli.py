@@ -148,6 +148,24 @@ def test_makenice_cap_exhaustion_dumps_state(tmp_path, capsys):
     assert not is_nice(dg)
 
 
+@pytest.mark.parametrize("command", ["makenice", "all"])
+def test_negative_move_cap_is_bad_input(tmp_path, capsys, command):
+    # a cap below 0 is an invalid argument (exit 2, nothing written), not a
+    # cap reached after no moves; 0 is a valid cap and refuses with exit 3
+    dest = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(fix("r6")), "--out-dir", str(dest),
+              "--move-cap", "-1"])
+    assert exc.value.code == 2
+    assert "--move-cap: expected an integer >= 0, got '-1'" in \
+        capsys.readouterr().err
+    assert not dest.exists()
+    rc, _, err = run(capsys, command, "--input", fix("r6"),
+                     "--out-dir", dest, "--move-cap", 0)
+    assert rc == 3 and "move cap 0 reached" in err
+    assert (dest / "r6_stuck.json").exists()
+
+
 # -- nice-only commands -------------------------------------------------------
 
 

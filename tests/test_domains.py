@@ -22,7 +22,14 @@ from obfloer.domains import (
 from obfloer.linalg import IntSolver
 from obfloer.nicefy import make_nice
 
-from conftest import FIXTURES, box_scan, load_diagram, pushed_variant
+from conftest import (
+    FIXTURES,
+    box_scan,
+    load_diagram,
+    pm4_sum,
+    pushed_variant,
+    run_cli_optimized,
+)
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +280,7 @@ def test_maslov_rejects_nonintegral(calc_r6):
             coeffs = tuple(1 if i == r else 0 for i in range(calc_r6.num_unpointed))
             dom = Domain(coeffs, g.index, g.index)
             tot = (
-                2 * calc_r6._pm4_sum(coeffs, g.points)
+                2 * pm4_sum(calc_r6, coeffs, g.points)
                 + 2 * calc_r6._em2_total(coeffs)
             )
             if tot % 4:
@@ -558,6 +565,44 @@ def test_chern_split_is_an_internal_error(tmp_path, monkeypatch, capsys):
     assert "internal error: Chern split a class" in capsys.readouterr().err
 
 
+# IntSolver.apply_u that adds 1 to region 0 of the third chain a full
+# solver maps back (it has one row per point, the pointed solver one per
+# basepoint): that generator's potential misses its boundary identity
+CORRUPT_APPLY_U = """
+def corrupt_apply_u(self, y, apply_u=IntSolver.apply_u):
+    x = apply_u(self, y)
+    self.mapped = getattr(self, "mapped", 0) + 1
+    if self.nrows > 1 and self.mapped == 3:
+        x[0] += 1
+    return x
+"""
+
+
+def test_corrupted_potential_is_an_internal_error(tmp_path, monkeypatch,
+                                                  capsys):
+    # each potential is checked once, when potentials are built, and the
+    # failure is a DomainError (exit 4), also under python -O
+    space = {"IntSolver": IntSolver}
+    exec(CORRUPT_APPLY_U, space)
+    monkeypatch.setattr(IntSolver, "apply_u", space["corrupt_apply_u"])
+    dg = load_diagram("r22")
+    want = "potential of generator %s fails its boundary identity" % (
+        dg.generators()[2],)
+    with pytest.raises(DomainError) as exc:
+        DomainCalculator(dg).spinc_partition()
+    assert str(exc.value) == want
+    rc = main(["analyze", "--input", str(FIXTURES / "r22.json"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 4
+    assert "internal error: " + want in capsys.readouterr().err
+    rc, _, err = run_cli_optimized(
+        ["analyze", "--input", FIXTURES / "r22.json", "--out-dir", tmp_path],
+        prelude="from obfloer.linalg import IntSolver\n" + CORRUPT_APPLY_U
+                + "IntSolver.apply_u = corrupt_apply_u")
+    assert rc == 4
+    assert "internal error: " + want in err
+
+
 def test_scan_point_outside_the_cone_is_an_internal_error(monkeypatch):
     calc = DomainCalculator(load_diagram("r22"))
     assert calc.find_pos_domains(7, 0)
@@ -569,16 +614,22 @@ def test_scan_point_outside_the_cone_is_an_internal_error(monkeypatch):
 
 def test_analyze_runs_fourier_motzkin_once_per_calculator(tmp_path,
                                                           monkeypatch):
-    # find_pos_domains compiles its projection once per calculator
-    # (PolytopeScan); fm_chain runs only for the admissibility check
-    counts = {"fm_chain": 0, "calculators": 0, "scans": 0}
+    # find_pos_domains compiles its projection into one kernel once per
+    # calculator (PolytopeScan); fm_chain runs only for the admissibility
+    # check
+    counts = {"fm_chain": 0, "calculators": 0, "scans": 0, "kernels": 0}
     fm_chain = linalg.fm_chain
+    scan_source = linalg._scan_source
     init = DomainCalculator.__init__
     find_pos_domains = DomainCalculator.find_pos_domains
 
     def counted_fm(rows, nvars):
         counts["fm_chain"] += 1
         return fm_chain(rows, nvars)
+
+    def counted_source(*args):
+        counts["kernels"] += 1
+        return scan_source(*args)
 
     def counted_init(self, diagram):
         counts["calculators"] += 1
@@ -589,6 +640,7 @@ def test_analyze_runs_fourier_motzkin_once_per_calculator(tmp_path,
         return find_pos_domains(self, x, y)
 
     monkeypatch.setattr(linalg, "fm_chain", counted_fm)
+    monkeypatch.setattr(linalg, "_scan_source", counted_source)
     monkeypatch.setattr(DomainCalculator, "__init__", counted_init)
     monkeypatch.setattr(DomainCalculator, "find_pos_domains", counted_scan)
     rc = main(["analyze", "--input", str(FIXTURES / "r22.json"),
@@ -596,3 +648,4 @@ def test_analyze_runs_fourier_motzkin_once_per_calculator(tmp_path,
     assert rc == 0
     assert counts["calculators"] == 1 and counts["scans"] > 300
     assert counts["fm_chain"] <= counts["calculators"]
+    assert counts["kernels"] == counts["calculators"]

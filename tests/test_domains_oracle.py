@@ -1,22 +1,29 @@
-"""Spin-c classes and positive domains against the per-pair solves.
+"""Spin-c classes, positive domains and Maslov indices against the
+per-pair paths they replaced.
 
 DomainCalculator finds classes and connecting domains from one reduction
 per generator.  The oracles below are the per-pair path it replaced: a
 generator joins the first class anchor it has a full solve to, and the
 positive-domain scan starts from one hat solve of the pair.  Both must
 give the same SpinCTable and the same positive domains, on every fixture
-and on seeded finger-moved variants.
+and on seeded finger-moved variants.  Each generator's potential is
+checked once, so the connecting domains are checked per pair here.
+
+Maslov indices, J+ and domain shapes read the point measures through
+per-generator corner weights; the oracle is the sum over regions and
+both generators' points (conftest.pm4_sum).
 """
 
 from math import gcd
 
 import pytest
 
-from obfloer.diagram import build_diagram, make_region_list
+from obfloer.diagram import build_diagram, cycle_count, make_region_list
 from obfloer.domains import (
     AdmissibilityError,
     Domain,
     DomainCalculator,
+    DomainError,
     SpinCTable,
 )
 from obfloer.linalg import IntSolver, UnboundedPolytopeError, lattice_points
@@ -24,9 +31,12 @@ from obfloer.nicefy import make_nice
 
 from conftest import (
     FIXTURES,
+    check_potential_differences,
     corner_occurrences,
+    load_diagram,
     load_region_list,
     one_push_variants,
+    pm4_sum,
     pushed_variant,
 )
 
@@ -202,6 +212,7 @@ def _fixture(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES + ["twice_pointed"])
 def test_fixture_matches_oracles(name):
     calc, _ = check_against_oracles(_fixture(name))
+    assert check_potential_differences(calc) > 0
     # hat connecting domains exist for exactly the pairs the solve finds
     pairs = PairOracle(calc)
     gens = calc.dg.generators()
@@ -235,3 +246,73 @@ def test_r6_nice_variants_match_oracles(k):
     nice = make_nice(build_diagram(R6_ONE_PUSH[k])).diagram
     _, checked = check_against_oracles(nice)
     assert checked > 0
+
+
+# -- Maslov index, J+ and domain type against the sum over points ------------
+
+
+def oracle_maslov_numerator(calc, dom):
+    gens = calc.dg.generators()
+    pts = gens[dom.src].points + gens[dom.dst].points
+    return pm4_sum(calc, dom.coeffs, pts) + 2 * calc._em2_total(dom.coeffs)
+
+
+def oracle_domain_type(calc, dom, jp):
+    """domain_type with its point measures summed point by point."""
+    dg, c = calc.dg, dom.coeffs
+    xg, yg = dg.generators()[dom.src], dg.generators()[dom.dst]
+    if not any(c):
+        return (jp, 0, 0, 0)
+    s = sum(1 for p in set(xg.points) & set(yg.points)
+            if all(dg.point_measures_4[r][p] == 0
+                   for r, cr in enumerate(c) if cr))
+    num = (4 * (dg.num_curves - s) + 2 * calc._em2_total(c)
+           - pm4_sum(calc, c, xg.points + yg.points))
+    assert num % 4 == 0
+    alpha_at = {j: i for i, j in enumerate(xg.permutation)}
+    b = cycle_count([alpha_at[j] for j in yg.permutation]) - s
+    return (jp, num // 4, b, (2 - num // 4 - b) // 2)
+
+
+def check_maslov_oracle(calc):
+    """Every index-1 domain and every periodic domain read from g to g, as
+    the calculator reads them: hat ones from every generator (Chern
+    numbers), full ones from each class's anchor (divisibility); returns
+    how many domains were compared."""
+    gens = calc.dg.generators()
+    full = IntSolver(calc.dg.boundary_mat, ncols=calc.dg.num_regions)
+    doms = [Domain(q, g.index, g.index)
+            for g in gens for q in calc.periodic_domain_basis()]
+    doms += [Domain(tuple(q), members[0], members[0])
+             for members in calc.spinc_partition().classes
+             for q in full.kernel_basis()]
+    try:
+        doms += [d for ds in calc.index1_differentials().values() for d in ds]
+    except AdmissibilityError:
+        pass
+    for dom in doms:
+        num = oracle_maslov_numerator(calc, dom)
+        if num % 4:
+            with pytest.raises(DomainError, match="not divisible by 4"):
+                calc.maslov_index(dom)
+            continue
+        assert calc.maslov_index(dom) == num // 4, dom
+        jp = (num // 4 - calc._em2_total(dom.coeffs)
+              + gens[dom.src].cycles() - gens[dom.dst].cycles())
+        assert calc.j_plus(dom) == jp, dom
+        if any(v < 0 for v in dom.coeffs):
+            with pytest.raises(DomainError, match="nonnegative"):
+                calc.domain_type(dom)
+        else:
+            assert calc.domain_type(dom) == oracle_domain_type(calc, dom, jp)
+    return len(doms)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["twice_pointed"])
+def test_maslov_index_matches_point_sums(name):
+    assert check_maslov_oracle(DomainCalculator(_fixture(name))) > 0
+
+
+def test_maslov_index_matches_point_sums_on_nice_r22():
+    calc = DomainCalculator(make_nice(load_diagram("r22")).diagram)
+    assert check_maslov_oracle(calc) > 10000

@@ -9,6 +9,7 @@ from sympy.matrices.normalforms import invariant_factors
 from fractions import Fraction
 
 from obfloer import linalg
+from obfloer.domains import DomainCalculator
 from obfloer.linalg import (
     F2Map,
     F2Quotient,
@@ -21,7 +22,7 @@ from obfloer.linalg import (
     lattice_points,
 )
 
-from conftest import polytope_box_bounds
+from conftest import load_diagram, polytope_box_bounds
 
 
 def _mat_vec(mat, vec):
@@ -338,6 +339,34 @@ def _points_or_raise(scan, *args):
         return "unbounded"
 
 
+def _random_scan_rows(rng, k, directions=4, copies=3):
+    rows = []
+    for _ in range(rng.randint(0, directions)):
+        a = [rng.randint(-3, 3) for _ in range(k)]
+        # parallel copies with different multiples
+        for _ in range(rng.randint(1, copies)):
+            m = rng.choice([1, 1, 2, 3])
+            rows.append(tuple(m * v for v in a))
+    if rng.random() < 0.5:  # box most systems in, leave the rest open
+        for i in range(k):
+            e = [0] * k
+            e[i] = rng.randint(1, 3)
+            rows += [tuple(e), tuple(-v for v in e)]
+    rng.shuffle(rows)
+    return rows
+
+
+def _check_scan(rng, rows, k, seen, lo=-6, hi=9):
+    scan = PolytopeScan(rows, k)
+    for _ in range(4):
+        consts = [rng.randint(lo, hi) for _ in rows]
+        full = [a + (c,) for a, c in zip(rows, consts)]
+        want = _points_or_raise(lattice_points, full, k)
+        assert _points_or_raise(scan.points, consts) == want, full
+        seen.add((k, "unbounded" if want == "unbounded" else bool(want),
+                  not rows))
+
+
 def test_polytope_scan_vs_lattice_points():
     # one compiled scan per coefficient matrix, several constant vectors;
     # lattice_points on the full rows is the oracle, raise included
@@ -345,30 +374,92 @@ def test_polytope_scan_vs_lattice_points():
     seen = set()
     for _ in range(400):
         k = rng.randint(0, 3)
-        rows = []
-        for _ in range(rng.randint(0, 4)):
-            a = [rng.randint(-3, 3) for _ in range(k)]
-            # parallel copies with different multiples
-            for _ in range(rng.randint(1, 3)):
-                m = rng.choice([1, 1, 2, 3])
-                rows.append(tuple(m * v for v in a))
-        if rng.random() < 0.5:  # box most systems in, leave the rest open
-            for i in range(k):
-                e = [0] * k
-                e[i] = rng.randint(1, 3)
-                rows += [tuple(e), tuple(-v for v in e)]
-        rng.shuffle(rows)
-        scan = PolytopeScan(rows, k)
-        for _ in range(4):
-            consts = [rng.randint(-6, 9) for _ in rows]
-            full = [a + (c,) for a, c in zip(rows, consts)]
-            want = _points_or_raise(lattice_points, full, k)
-            assert _points_or_raise(scan.points, consts) == want, full
-            seen.add((k, "unbounded" if want == "unbounded" else bool(want),
-                      not rows))
-    for k in range(1, 4):
+        _check_scan(rng, _random_scan_rows(rng, k), k, seen)
+    # four coordinates, on smaller systems: the oracle's projection chain
+    # grows fast with parallel rows
+    rng = random.Random(2025)
+    for _ in range(150):
+        _check_scan(rng, _random_scan_rows(rng, 4, 3, 2), 4, seen, -4, 6)
+    for k in range(1, 5):
         assert {(k, "unbounded", False), (k, False, False),
                 (k, True, False), (k, "unbounded", True)} <= seen
+
+
+def test_polytope_scan_on_r22_periodic_rows():
+    # the rows find_pos_domains scans on r22, with constants drawn around
+    # the connecting domains of real pairs (and far outside them)
+    calc = DomainCalculator(load_diagram("r22"))
+    basis = calc.periodic_domain_basis()
+    rows = [tuple(b[r] for b in basis) for r in range(calc.num_unpointed)]
+    scan = PolytopeScan(rows, len(basis))
+    rng = random.Random(22)
+    members = max(calc.spinc_partition().classes, key=len)
+    outcomes = set()
+    for _ in range(300):
+        base = calc.connecting_domain(rng.choice(members),
+                                      rng.choice(members)).coeffs
+        spread = rng.choice([0, 1, 2, 6, 40])
+        consts = [c + rng.randint(-spread, spread) for c in base]
+        full = [a + (c,) for a, c in zip(rows, consts)]
+        want = lattice_points(full, len(basis))
+        assert scan.points(consts) == want, consts
+        assert scan.points(tuple(consts)) == want
+        outcomes.add(len(want) > 1 if want else None)
+    assert outcomes == {None, False, True}
+
+
+def test_polytope_scan_with_entries_above_2_64():
+    # rows and constants scaled by M = 2**70, constants shifted by less
+    # than M: exact integer arithmetic keeps every strict/nonstrict edge
+    rng = random.Random(64)
+    big = 2 ** 70
+    for _ in range(120):
+        k = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(k))
+                for _ in range(rng.randint(1, 4))]
+        for i in range(k):
+            e = [0] * k
+            e[i] = 1
+            rows += [tuple(e), tuple(-v for v in e)]
+        rows = [tuple(big * v for v in a) for a in rows]
+        scan = PolytopeScan(rows, k)
+        for _ in range(3):
+            consts = [big * rng.randint(-3, 5)
+                      + rng.choice([0, 1, -1, big - 1, 1 - big,
+                                    rng.randint(1 - big, big - 1)])
+                      for _ in rows]
+            full = [a + (c,) for a, c in zip(rows, consts)]
+            assert scan.points(consts) == lattice_points(full, k), full
+
+
+def test_polytope_scan_past_sixteen_coordinates():
+    # more nested loops than one compiled function can hold: the kernel
+    # goes on in a nested function; rows couple t_0, t_17 and t_20
+    k = 21
+
+    def unit(*coeffs):  # (index, coefficient) pairs
+        a = [0] * k
+        for i, v in coeffs:
+            a[i] = v
+        return tuple(a)
+
+    rows, consts = [], []
+    for i in range(k):
+        rows += [unit((i, 1)), unit((i, -1))]
+        consts += [0, 1 if i in (0, 3, 17, 20) else 0]
+    rows += [unit((0, 1), (17, -1)), unit((17, -1), (20, -1))]
+    consts += [0, 1]  # t_0 >= t_17, t_17 + t_20 <= 1
+    full = [a + (c,) for a, c in zip(rows, consts)]
+    want = lattice_points(full, k)
+    assert len(want) == 10
+    assert PolytopeScan(rows, k).points(consts) == want
+    # t_18 without an upper bound raises from inside the nested function
+    rows, consts = rows[:37] + rows[38:], consts[:37] + consts[38:]
+    full = [a + (c,) for a, c in zip(rows, consts)]
+    with pytest.raises(UnboundedPolytopeError, match="t_18 "):
+        lattice_points(full, k)
+    with pytest.raises(UnboundedPolytopeError, match="t_18 "):
+        PolytopeScan(rows, k).points(consts)
 
 
 def test_polytope_scan_keeps_rational_constants():

@@ -28,6 +28,7 @@ from obfloer.nicefy import is_nice, make_nice
 
 from conftest import (
     FIXTURES,
+    check_potential_differences,
     load_diagram,
     load_region_list,
     one_push_variants,
@@ -87,6 +88,7 @@ def check_near_pairs(region_list):
         entries = cx.build_boundary(k).entries
         assert {p: e.domains for p, e in entries.items()} == {
             p: tuple(doms) for p, doms in want.items()}, k
+    assert check_potential_differences(calc) > 0
     return far, rectangles
 
 
