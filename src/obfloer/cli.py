@@ -16,10 +16,10 @@ Operations:
   plot       DOT graph of the complex in one or all spin-c classes
   all        analyze, then makenice if needed, then homology/contact/order
 
-Exit codes: 0 success, 2 unreadable or invalid input, 3 refused
-precondition (non-nice input to a nice-only command, inadmissible
-diagram, contact-convention violation, a distinguished generator that is
-not a cycle, move cap exhausted), 4 internal error.  Set
+Exit codes: 0 success, 2 unreadable or invalid input or an unwritable
+artifact, 3 refused precondition (non-nice input to a nice-only command,
+inadmissible diagram, contact-convention violation, a distinguished
+generator that is not a cycle, move cap exhausted), 4 internal error.  Set
 OBFLOER_LOG=debug|info|warning|error to adjust diagnostics on stderr.
 """
 
@@ -121,8 +121,11 @@ class _Out:
             # plots from analyze and from homology, through one engine
             return p
         # directory is created lazily so a failed run leaves nothing behind
-        self.root.mkdir(parents=True, exist_ok=True)
-        p.write_text(text)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            p.write_text(text)
+        except OSError as e:
+            raise CliError("cannot write %s: %s" % (p, e)) from None
         self.files.append(p)
         log.info("wrote %s", p)
         return p
@@ -447,12 +450,16 @@ def main(argv=None):
         print("error: %s" % e, file=sys.stderr)
         return e.code
     except StuckError as e:
-        if e.region_list is not None:
+        if e.region_list is None:
+            print("refused: %s" % e, file=sys.stderr)
+            return EXIT_REFUSED
+        try:
             p = out.write(_safe_name(dg.name) + "_stuck.json",
                           region_list_to_json(e.region_list) + "\n")
-            print("refused: %s (state dumped to %s)" % (e, p), file=sys.stderr)
-        else:
-            print("refused: %s" % e, file=sys.stderr)
+        except CliError as err:
+            print("refused: %s\nerror: %s" % (e, err), file=sys.stderr)
+            return err.code
+        print("refused: %s (state dumped to %s)" % (e, p), file=sys.stderr)
         return EXIT_REFUSED
     except NotNiceError as e:
         print("refused: %s" % e, file=sys.stderr)

@@ -130,14 +130,15 @@ def parse_region_list(text, name=None, num_pointed=None):
     or a bare bracketed list of regions (JSON or python literal syntax), in
     which case `num_pointed` must be supplied by the caller.
     """
-    data = None
     try:
-        data = json.loads(text)
-    except ValueError:
         try:
+            data = json.loads(text)
+        except ValueError:
             data = literal_eval(text.strip())
-        except (ValueError, SyntaxError) as exc:
-            raise RegionListError("cannot parse input: %s" % exc) from None
+    except (ValueError, SyntaxError) as exc:
+        raise RegionListError("cannot parse input: %s" % exc) from None
+    except RecursionError:
+        raise RegionListError("cannot parse input: nested too deeply") from None
     if isinstance(data, dict):
         if "regions" not in data:
             raise RegionListError('input object lacks a "regions" field')

@@ -14,22 +14,24 @@ generators sit in the same SpinC class and carry the relative grading.
 Both are a Domain, told apart by the length of their coefficients, and
 every method names generators by their index.
 
-The calculator reduces each generator once, lazily, modulo the lattice of
-region boundaries (IntSolver.reduce).  The canonical residue of that
-reduction names the generator's SpinC class, and its quotient gives a
-potential: a chain whose boundary is the generator up to the residue.
-Two generators are joined by a full domain iff their residues agree, and
-the difference of their potentials is then one; a second residue, of the
-pointed coefficients modulo the full periodic domains, decides the same
-for hat domains.  No solve and no boundary check runs per pair: each
-potential is checked once, and a difference of two checked potentials
-has the right boundary by linearity.
+The calculator keeps one integer system, echelonized once: the rows of
+boundary_mat, then one row per pointed region reading its coefficient.
+One reduction per generator (IntSolver.reduce) gives a canonical residue,
+whose whole is the generator's hat key and whose boundary part is its
+SpinC key, and a potential chain; the same pass sums its corner weights.
+Two generators are joined by a hat (full) domain iff their hat (SpinC)
+keys agree, and the difference of their potentials is then one.  No
+solve and no boundary check runs per pair: each potential is checked
+once, and a difference of two checked potentials has the right boundary
+by linearity.
 
 The calculator exposes:
 
   * periodic_domain_basis: lattice basis of hat domains with empty boundary,
     as coefficient tuples (its length is the rank);
-  * check_weak_admissibility: no nonzero nonnegative periodic combination;
+  * check_weak_admissibility: no nonzero nonnegative periodic combination,
+    read off the positive-domain scan's compiled projection at zero
+    constants;
   * connecting_domain / find_pos_domains: one solution (a difference of
     potentials), or the full list of nonnegative solutions (a
     bounded-polytope lattice scan around it, sorted).  The scan's rows are
@@ -42,10 +44,10 @@ The calculator exposes:
     switches, and the (J+, chi, b, g) shape of the underlying curve, its
     boundary circles read off the two generators' permutations; a Chern
     number is the index of a periodic domain read from g to g.  Point
-    measures enter through per-generator corner weights, one pass over
-    the regions per domain;
+    measures enter through per-generator corner weights, summed when the
+    generator is reduced, so an index is one pass over the regions;
   * spinc_partition / index1_differentials: SpinC classes (generators
-    grouped by residue) with Chern numbers, divisibility, relative
+    grouped by SpinC key) with Chern numbers, divisibility, relative
     gradings, and the candidate differentials (positive index-1 domains
     between grading-adjacent generators), built one class at a time:
     the only enumeration of them, which the Floer engine and plots read.
@@ -56,11 +58,13 @@ The calculator exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import mul, sub
+from typing import NamedTuple
 
 from .diagram import cycle_count
-from .linalg import IntSolver, PolytopeScan, UnboundedPolytopeError, cone_is_trivial
+from .linalg import IntSolver, PolytopeScan, UnboundedPolytopeError
 from .nicefy import is_nice
 
 # perfbench's tracer wraps lattice_points in every module that imports it,
@@ -88,6 +92,15 @@ class Domain:
     coeffs: tuple
     src: int
     dst: int
+
+
+class _Potential(NamedTuple):
+    """A generator's SpinC key, pointed residue, potential, corner weights."""
+
+    spinc: tuple
+    pointed: tuple
+    chain: list
+    weights: list
 
 
 def _level(g, div):
@@ -137,17 +150,23 @@ class DomainCalculator:
         self.num_regions = diagram.num_regions
         self.num_unpointed = diagram.num_unpointed
         self._em2 = diagram.euler_measures_2
-        self._full = IntSolver(diagram.boundary_mat, ncols=self.num_regions)
+        bm = diagram.boundary_mat
+        # boundary rows, then one row reading each pointed region's coefficient
+        self._system = IntSolver(
+            list(bm) + [[int(r == p) for r in range(self.num_regions)]
+                        for p in range(self.num_unpointed, self.num_regions)],
+            ncols=self.num_regions)
+        # U's columns past the boundary pivots span the full periodic lattice
+        nb = sum(row < diagram.num_points for row, _ in self._system.pivots)
+        self._full_kernel = [tuple(u) for u in self._system.ucols[nb:]]
+        # its own echelon: this basis names the Chern numbers homology prints
         self._periodic = tuple(tuple(v) for v in IntSolver(
-            diagram.boundary_mat, ncols=self.num_unpointed
-        ).kernel_basis())
+            bm, ncols=self.num_unpointed).kernel_basis())
         # per unpointed region, its coefficient in each periodic basis element
         self._basis_rows = [
             tuple(v[r] for v in self._periodic)
             for r in range(self.num_unpointed)
         ]
-        self._full_kernel = tuple(tuple(v) for v in self._full.kernel_basis())
-        bm = diagram.boundary_mat
         self._region_cols = [  # nonzero (point, entry) pairs of each column
             [(p, row[r]) for p, row in enumerate(bm) if row[r]]
             for r in range(self.num_regions)
@@ -158,23 +177,10 @@ class DomainCalculator:
             for p in range(diagram.num_points)
         ]
         self._gens = diagram.generators()
-        self._weights = [None] * len(self._gens)  # see _corner_weights
-        self._potentials = None
-        self._scan = None  # PolytopeScan of the periodic rows, built lazily
-        self._admissible = None
         self._spinc = None
         self._index1 = {}  # class index -> its index-1 table
 
     # -- basic plumbing ----------------------------------------------------
-
-    def _indicator_diff(self, src, dst):
-        # right-hand side of the beta-boundary system: indicator(src) - indicator(dst)
-        rhs = [0] * self.dg.num_points
-        for p in src.points:
-            rhs[p] += 1
-        for p in dst.points:
-            rhs[p] -= 1
-        return rhs
 
     def _boundary(self, coeffs):
         """boundary_mat . coeffs, a 0-chain of points."""
@@ -186,7 +192,11 @@ class DomainCalculator:
         return got
 
     def _check_boundary(self, dom):
-        rhs = self._indicator_diff(self._gens[dom.src], self._gens[dom.dst])
+        rhs = [0] * self.dg.num_points  # indicator(src) - indicator(dst)
+        for p in self._gens[dom.src].points:
+            rhs[p] += 1
+        for p in self._gens[dom.dst].points:
+            rhs[p] -= 1
         got = self._boundary(dom.coeffs)
         if got != rhs:
             p = next(p for p, (g, w) in enumerate(zip(got, rhs)) if g != w)
@@ -194,17 +204,6 @@ class DomainCalculator:
                 "boundary mismatch at point %d: %d != %d" % (p, got[p], rhs[p])
             )
         return dom
-
-    def _corner_weights(self, g):
-        """Per region r, the sum of point_measures_4[r][p] over generator
-        g's points p; computed once per generator."""
-        w = self._weights[g]
-        if w is None:
-            w = self._weights[g] = [0] * self.num_regions
-            for p in self._gens[g].points:
-                for r, v in self._point_corners[p]:
-                    w[r] += v
-        return w
 
     def _em2_total(self, coeffs):
         return sum(map(mul, coeffs, self._em2))
@@ -215,73 +214,72 @@ class DomainCalculator:
         """Coefficient tuples of a basis of the periodic hat domains."""
         return self._periodic
 
+    @cached_property
+    def _polytope(self):
+        """PolytopeScan of the periodic rows, compiled on first use."""
+        return PolytopeScan(self._basis_rows, len(self._periodic))
+
     def check_weak_admissibility(self):
-        """True iff no nonzero combination of periodic domains is >= 0."""
-        if self._admissible is None:
-            self._admissible = cone_is_trivial(
-                self._basis_rows, len(self._periodic))
-        return self._admissible
+        """True iff no nonzero combination of periodic domains is >= 0: the
+        scan's polytope at zero constants holds only the origin and is
+        bounded (linalg.cone_is_trivial on the same rows)."""
+        try:
+            pts = self._polytope.points([0] * len(self._basis_rows))
+        except UnboundedPolytopeError:
+            return False
+        return pts == [(0,) * len(self._periodic)]
 
     # -- connecting and positive domains -----------------------------------
 
-    def _generator_potentials(self):
-        """Per generator g: (full residue, pointed residue, chain Q_g).
+    @cached_property
+    def _potentials(self):
+        """Per generator, its _Potential, from one reduction of the system.
 
-        Reducing -indicator(g) modulo the full column lattice gives a
-        residue r_g and a chain P_g with boundary -indicator(g) - r_g, so a
-        full domain x -> y exists iff r_x == r_y, and P_y - P_x is one.
-        Q_g is P_g minus the full-periodic combination that brings its
-        pointed coefficients down to their canonical residue modulo the
-        pointed rows of the full kernel; a hat domain exists iff both
-        residues agree, and Q_y - Q_x is then one (pointed part zero).
-
-        Each Q_g is checked once: boundary -indicator(g) - r_g, pointed
-        part s_g.  By linearity each difference then has the boundary
-        indicator(x) - indicator(y), so no pair is checked again.
+        Reducing (-indicator(g), 0) gives a residue res_g and a chain Q_g
+        with boundary -indicator(g) - res_g[:num_points] and pointed part
+        -res_g[num_points:].  A hat domain x -> y solves system . D =
+        (indicator(x) - indicator(y), 0), so one exists iff res_x == res_y,
+        and Q_y - Q_x is one.  The echelon picks each row's column
+        operations from that row alone, top down, so res_g[:num_points] is
+        the residue modulo boundary_mat alone, which decides full domains
+        the same way.  Each Q_g is checked once; a difference of two then
+        has the right boundary by linearity.
         """
-        if self._potentials is None:
-            nu, npt = self.num_unpointed, self.dg.num_pointed
-            kern = self._full_kernel
-            pointed = IntSolver(
-                [[k[nu + p] for k in kern] for p in range(npt)], ncols=len(kern)
-            )
-            pots = []
-            for g in self._gens:
-                rhs = [0] * self.dg.num_points
-                for p in g.points:
-                    rhs[p] -= 1
-                y, r = self._full.reduce(rhs)
-                chain = self._full.apply_u(y)
-                z, s = pointed.reduce(chain[nu:])
-                for k, w in zip(kern, pointed.apply_u(z)):
-                    if w:
-                        chain = [c - w * v for c, v in zip(chain, k)]
-                if (self._boundary(chain) != [a - b for a, b in zip(rhs, r)]
-                        or chain[nu:] != s):
-                    raise DomainError(
-                        "potential of generator %s fails its boundary identity"
-                        % (g,))
-                pots.append((tuple(r), tuple(s), chain))
-            self._potentials = pots
-        return self._potentials
+        npts, nu = self.dg.num_points, self.num_unpointed
+        pointed_zero = [0] * self.dg.num_pointed
+        pots = []
+        for g in self._gens:
+            rhs = [0] * npts
+            w = [0] * self.num_regions
+            for p in g.points:
+                rhs[p] -= 1
+                for r, v in self._point_corners[p]:
+                    w[r] += v
+            y, res = self._system.reduce(rhs + pointed_zero)
+            spinc, pointed = tuple(res[:npts]), tuple(res[npts:])
+            chain = self._system.apply_u(y)
+            if (self._boundary(chain) != list(map(sub, rhs, spinc))
+                    or chain[nu:] != [-v for v in pointed]):
+                raise DomainError(
+                    "potential of generator %s fails its boundary identity"
+                    % (g,))
+            pots.append(_Potential(spinc, pointed, chain, w))
+        return pots
 
     def connecting_domain(self, x, y):
         """Some hat domain from x to y, or None when none exists."""
-        pots = self._generator_potentials()
-        rx, sx, qx = pots[x]
-        ry, sy, qy = pots[y]
-        if rx != ry or sx != sy:
+        px, py = self._potentials[x], self._potentials[y]
+        if px.spinc != py.spinc or px.pointed != py.pointed:
             return None
-        return Domain(tuple(map(sub, qy[: self.num_unpointed], qx)), x, y)
+        return Domain(tuple(map(sub, py.chain[: self.num_unpointed], px.chain)),
+                      x, y)
 
     def full_connecting_domain(self, x, y):
         """Some chain over all regions from x to y, or None."""
-        pots = self._generator_potentials()
-        rx, _, qx = pots[x]
-        ry, _, qy = pots[y]
-        if rx != ry:
+        px, py = self._potentials[x], self._potentials[y]
+        if px.spinc != py.spinc:
             return None
-        return Domain(tuple(map(sub, qy, qx)), x, y)
+        return Domain(tuple(map(sub, py.chain, px.chain)), x, y)
 
     def find_pos_domains(self, x, y):
         """Every nonnegative hat domain from x to y, sorted by coefficients.
@@ -297,10 +295,8 @@ class DomainCalculator:
         if d0 is None:
             return []
         base = d0.coeffs
-        if self._scan is None:
-            self._scan = PolytopeScan(self._basis_rows, len(self._periodic))
         try:
-            ts = self._scan.points(base)
+            ts = self._polytope.points(base)
         except UnboundedPolytopeError as err:
             raise AdmissibilityError(
                 "positive domains %s -> %s form an unbounded set; "
@@ -330,9 +326,10 @@ class DomainCalculator:
         A periodic domain read from g to g gives g's Chern number.
         """
         c = dom.coeffs
+        pots = self._potentials
         tot = (
-            sum(map(mul, c, self._corner_weights(dom.src)))
-            + sum(map(mul, c, self._corner_weights(dom.dst)))
+            sum(map(mul, c, pots[dom.src].weights))
+            + sum(map(mul, c, pots[dom.dst].weights))
             + 2 * self._em2_total(c)
         )
         if tot % 4:
@@ -391,29 +388,20 @@ class DomainCalculator:
         """Partition generators by full-chain connectivity; grade each class."""
         if self._spinc is not None:
             return self._spinc
-        n = len(self._gens)
-        pots = self._generator_potentials()
-        class_members = []
-        anchors = []
-        class_of = [None] * n
-        class_by_residue = {}
-        conn = {}  # generator index -> full Domain from its class anchor
-        for i in range(n):
-            ci = class_by_residue.setdefault(pots[i][0], len(anchors))
-            class_of[i] = ci
-            if ci == len(anchors):
-                anchors.append(i)
-                class_members.append([i])
-                conn[i] = Domain((0,) * self.num_regions, i, i)
-            else:
-                class_members[ci].append(i)
-                conn[i] = self.full_connecting_domain(anchors[ci], i)
+        by_key = {}  # SpinC key -> members, in order of first appearance
+        for i, pot in enumerate(self._potentials):
+            by_key.setdefault(pot.spinc, []).append(i)
+        classes = tuple(tuple(m) for m in by_key.values())
+        class_of = [None] * len(self._gens)
+        for k, members in enumerate(classes):
+            for i in members:
+                class_of[i] = k
 
         chern = tuple(
             tuple(self.maslov_index(Domain(bc, i, i)) for bc in self._periodic)
-            for i in range(n)
+            for i in range(len(self._gens))
         )
-        for members in class_members:
+        for members in classes:
             first = chern[members[0]]
             if any(chern[i] != first for i in members):
                 raise DomainError("Chern split a class")
@@ -421,8 +409,8 @@ class DomainCalculator:
         npt = self.dg.num_pointed
         divs = []
         gradings = []
-        for ci, members in enumerate(class_members):
-            anchor = anchors[ci]
+        for members in classes:
+            anchor = members[0]
             d = 0
             for q in self._full_kernel:
                 d = gcd(d, self.maslov_index(Domain(q, anchor, anchor))
@@ -430,7 +418,7 @@ class DomainCalculator:
             divs.append(d)
             gr = {}
             for i in members:
-                dom = conn[i]
+                dom = self.full_connecting_domain(anchor, i)
                 mu = self.maslov_index(dom)
                 nz = sum(dom.coeffs[-npt:])
                 val = -(mu - 2 * nz)  # gr(anchor) - gr(i) = mu - 2 nz
@@ -438,7 +426,7 @@ class DomainCalculator:
             gradings.append(gr)
 
         self._spinc = SpinCTable(
-            classes=tuple(tuple(m) for m in class_members),
+            classes=classes,
             class_of=tuple(class_of),
             chern=chern,
             div=tuple(divs),

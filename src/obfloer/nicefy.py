@@ -10,9 +10,11 @@ corners) among those farthest from the base points, and push one of its
 beta arcs through the region and out across an alpha arc, like a finger.
 The finger keeps crossing alpha arcs until its tip lands in a bigon or in
 a region strictly closer to a base point.  Each crossing trades the
-invaded region for smaller pieces; a lexicographic measure (badness at the
-worst distance, then that distance) strictly drops with every completed
-move, which forces termination.
+invaded region for smaller pieces, but no proof says a move makes
+progress: the measure (worst bad distance, badness there) can rise, as
+from (2, 4) to (4, 3) on the tests' pushed_variant("r22", 1, 5).
+make_nice refuses with StuckError whenever it does not drop, which ends
+the loop but refuses some valid inputs; ROADMAP.md keeps the fix open.
 
 Only disk regions can be pushed through.  Unpointed regions with several
 boundary circuits are rejected up front; none of the standard examples
@@ -326,7 +328,8 @@ def make_nice(diagram, move_cap=10 ** 6):
         rl = make_region_list(regs, cur.num_pointed, name=cur.name)
         cur = build_diagram(rl)
         if cur.num_regions - cur.num_points != chi or cur.num_curves != ncurves:
-            raise NicefyError("finger move changed the underlying surface")
+            raise NicefyInvariantError(
+                "finger move changed the underlying surface")
         dists = compute_distances(cur)
         after = _measure(cur, dists)
         if after is not None and not after < before:

@@ -89,6 +89,49 @@ def test_analyze_unparseable_and_missing(tmp_path, capsys):
     assert rc == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000,
+    '{"num_pointed": 1, "regions": %s}' % ("[" * 3000 + "]" * 3000),
+], ids=["brackets", "regions"])
+def test_deeply_nested_input_is_bad_input(tmp_path, capsys, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    dest = tmp_path / "out"
+    rc, _, err = run(capsys, "analyze", "--input", deep, "--out-dir", dest)
+    assert rc == 2
+    assert err == "error: cannot parse input: nested too deeply\n"
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command,first", [
+    ("analyze", "r6_analysis.json"),
+    ("makenice", "r6_nice.json"),
+    ("all", "r6_analysis.json"),
+])
+def test_unwritable_out_dir_is_bad_input(tmp_path, capsys, command, first):
+    # an out-dir that is a regular file, or lies under one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    for dest in (blocker, blocker / "sub"):
+        rc, out, err = run(capsys, command, "--input", fix("r6"),
+                           "--out-dir", dest)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot write %s: " % (dest / first))
+        assert err.count("\n") == 1
+    assert blocker.read_text() == "keep"
+
+
+def test_unwritable_stuck_dump_is_bad_input(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    rc, _, err = run(capsys, "makenice", "--input", fix("r6"),
+                     "--out-dir", blocker, "--move-cap", 0)
+    assert rc == 2
+    assert err.startswith("refused: move cap 0 reached\nerror: cannot write %s: "
+                          % (blocker / "r6_stuck.json"))
+    assert blocker.read_text() == "keep"
+
+
 @pytest.mark.parametrize("value", ['"x"', "[1]", "1.7"])
 def test_analyze_non_integer_num_pointed(tmp_path, capsys, value):
     bad = tmp_path / "bad.json"

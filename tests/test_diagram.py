@@ -87,6 +87,16 @@ def test_parse_rejects(regions, num_pointed):
         make_region_list(regions, num_pointed)
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000,
+    '{"num_pointed": 1, "regions": %s}' % ("[" * 3000 + "]" * 3000),
+], ids=["brackets", "regions"])
+def test_parse_rejects_deep_nesting(text):
+    # both parsers recurse per level; too deep is bad input, not a crash
+    with pytest.raises(RegionListError, match="nested too deeply"):
+        parse_region_list(text, num_pointed=1)
+
+
 def test_region_list_roundtrip_json():
     rl = make_region_list([[[0, 1], [2, 3]], [0, 1, 2, 3]], 1, name="nested")
     back = parse_region_list(region_list_to_json(rl))

@@ -9,6 +9,13 @@ give the same SpinCTable and the same positive domains, on every fixture
 and on seeded finger-moved variants.  Each generator's potential is
 checked once, so the connecting domains are checked per pair here.
 
+The SpinC and hat keys come from one reduction per generator of one
+integer system; the oracle is the two-solver path it replaced (a full
+reduction, then the pointed residue modulo the full periodic lattice),
+which must split the generators into the same classes.  Admissibility
+reads the positive-domain scan's compiled projection; the oracle is
+linalg.cone_is_trivial on the same rows.
+
 Maslov indices, J+ and domain shapes read the point measures through
 per-generator corner weights; the oracle is the sum over regions and
 both generators' points (conftest.pm4_sum).
@@ -26,7 +33,12 @@ from obfloer.domains import (
     DomainError,
     SpinCTable,
 )
-from obfloer.linalg import IntSolver, UnboundedPolytopeError, lattice_points
+from obfloer.linalg import (
+    IntSolver,
+    UnboundedPolytopeError,
+    cone_is_trivial,
+    lattice_points,
+)
 from obfloer.nicefy import make_nice
 
 from conftest import (
@@ -99,6 +111,58 @@ def oracle_spinc_partition(calc):
         div=tuple(divs),
         gradings=tuple(gradings),
     )
+
+
+def oracle_generator_keys(calc):
+    """Per generator, its (full residue, pointed residue) by two solvers.
+
+    Reducing -indicator(g) modulo the full column lattice gives the full
+    residue r_g and a chain P_g; the pointed residue s_g is the canonical
+    residue of P_g's pointed coefficients modulo the pointed rows of the
+    full periodic lattice.  A full domain x -> y exists iff r_x == r_y,
+    and a hat domain iff also s_x == s_y.  The chain brought down to s_g
+    must pass the boundary identity, as the calculator once checked.
+    """
+    dg = calc.dg
+    nu = dg.num_unpointed
+    full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
+    kern = full.kernel_basis()
+    pointed = IntSolver([[k[nu + p] for k in kern]
+                         for p in range(dg.num_pointed)], ncols=len(kern))
+    keys = []
+    for g in dg.generators():
+        rhs = [0] * dg.num_points
+        for p in g.points:
+            rhs[p] -= 1
+        y, r = full.reduce(rhs)
+        chain = full.apply_u(y)
+        z, s = pointed.reduce(chain[nu:])
+        for k, w in zip(kern, pointed.apply_u(z)):
+            chain = [c - w * v for c, v in zip(chain, k)]
+        assert calc._boundary(chain) == [a - b for a, b in zip(rhs, r)]
+        assert chain[nu:] == s
+        keys.append((tuple(r), tuple(s)))
+    return keys
+
+
+def _same_partition(a, b):
+    """Whether key lists a and b split the indices into the same classes,
+    that is a[x] == a[y] iff b[x] == b[y] for every pair."""
+    a_to_b, b_to_a = {}, {}
+    return all(a_to_b.setdefault(u, v) == v and b_to_a.setdefault(v, u) == u
+               for u, v in zip(a, b))
+
+
+def check_keys_and_admissibility(calc):
+    """The calculator's SpinC and hat keys split the generators as the
+    two-solver oracle does, and admissibility is cone_is_trivial's."""
+    old = oracle_generator_keys(calc)
+    pots = calc._potentials
+    assert _same_partition([r for r, _ in old], [p.spinc for p in pots])
+    assert _same_partition(old, [(p.spinc, p.pointed) for p in pots])
+    rank = len(calc.periodic_domain_basis())
+    assert calc.check_weak_admissibility() == cone_is_trivial(
+        calc._basis_rows, rank)
 
 
 def _oracle_corner_cuts(dg, xg, yg, base, basis):
@@ -184,6 +248,7 @@ def _fast_pos_domains(calc, i, j):
 
 def check_against_oracles(dg):
     calc = DomainCalculator(dg)
+    check_keys_and_admissibility(calc)
     table = calc.spinc_partition()
     want = oracle_spinc_partition(calc)
     for field in ("classes", "class_of", "chern", "div", "gradings"):
@@ -225,6 +290,25 @@ def test_fixture_matches_oracles(name):
                 full = calc.full_connecting_domain(x.index, y.index)
                 full_only += hat is None and full is not None
     assert (full_only > 0) == (name == "twice_pointed")
+
+
+def test_key_oracle_tells_classes_apart():
+    # the partition check is not vacuous: a merged and a split class fail
+    assert _same_partition([1, 1, 2], ["a", "a", "b"])
+    assert not _same_partition([1, 1, 2], ["a", "a", "a"])
+    assert not _same_partition([1, 1, 2], ["a", "b", "c"])
+
+
+def test_sphere4_is_inadmissible_by_both_paths():
+    calc = DomainCalculator(load_diagram("sphere4"))
+    check_keys_and_admissibility(calc)
+    assert calc.check_weak_admissibility() is False
+
+
+def test_nice_r22_keys_match_oracle():
+    calc = DomainCalculator(make_nice(load_diagram("r22")).diagram)
+    check_keys_and_admissibility(calc)
+    assert len(calc.spinc_partition().classes) > 1
 
 
 @pytest.mark.parametrize("pushes,seed", [(1, 0), (1, 1), (2, 0), (2, 1)])

@@ -16,6 +16,7 @@ from obfloer.diagram import build_diagram, circuit_beta_arcs, region_list_to_jso
 from obfloer.nicefy import (
     MoveRecord,
     NicefyError,
+    NicefyInvariantError,
     StuckError,
     compute_distances,
     is_nice,
@@ -25,10 +26,12 @@ from obfloer.nicefy import (
 )
 
 from conftest import (
+    FIXTURES,
     load_diagram,
     load_region_list,
     one_push_variants,
     pushed_variant,
+    run_cli_optimized,
 )
 
 
@@ -240,6 +243,41 @@ def test_make_nice_measures_each_diagram_once(r6, monkeypatch):
     res = make_nice(r6)
     assert len(calls) == len(res.moves) + 1
     assert len({id(d) for d in calls}) == len(calls)
+
+
+# every "finger move" lands on a one-curve sphere: the move is the
+# package's own surgery, so a changed surface is a broken invariant
+SPHERE_AFTER_EVERY_MOVE = """
+from obfloer import nicefy
+from obfloer.diagram import build_diagram, make_region_list
+nicefy.build_diagram = lambda rl: build_diagram(
+    make_region_list([[0, 1], [1, 0], [0, 1], [1, 0]], 1, name=rl.name))
+"""
+
+
+def test_surface_changing_move_is_an_internal_error(tmp_path, monkeypatch,
+                                                    capsys):
+    space = {}
+    exec(SPHERE_AFTER_EVERY_MOVE.replace("nicefy.build_diagram =",
+                                         "fake ="), space)
+    monkeypatch.setattr(nicefy, "build_diagram", space["fake"])
+    want = "finger move changed the underlying surface"
+    with pytest.raises(NicefyInvariantError, match="^%s$" % want):
+        make_nice(load_diagram("r6"))
+    args = ["makenice", "--input", FIXTURES / "r6.json", "--out-dir", tmp_path]
+    assert main([str(a) for a in args]) == 4
+    assert "internal error: " + want in capsys.readouterr().err
+    rc, _, err = run_cli_optimized(args, prelude=SPHERE_AFTER_EVERY_MOVE)
+    assert rc == 4
+    assert "internal error: " + want in err
+
+
+@pytest.mark.xfail(strict=True, raises=StuckError,
+                   reason="a valid move raises the measure from (2, 4) to "
+                          "(4, 3), and the progress guard refuses")
+def test_r22_seeded_push_variant_makes_nice():
+    fin = make_nice(build_diagram(pushed_variant("r22", 1, 5))).diagram
+    assert is_nice(fin)
 
 
 # ---------------------------------------------------------------------------
