@@ -152,15 +152,10 @@ def _size_hist(dg):
     return [[s, c[s]] for s in sorted(c)]
 
 
-def _diff_lines(calc, diffs):
-    lines = []
-    for (i, j) in sorted(diffs):
-        doms = diffs[(i, j)]
-        jps = [calc.j_plus(d) for d in doms]
-        j0, j2 = jps.count(0), jps.count(2)
-        lines.append(
-            "x%d -> x%d : count=%d J0=%d J2=%d" % (i, j, len(doms), j0, j2))
-    return "\n".join(lines) + ("\n" if lines else "")
+def _diff_lines(diffs):
+    return "".join("x%d -> x%d : count=%d J0=%d J2=%d\n"
+                   % (i, j, e.count, e.j0, e.j2)
+                   for (i, j), e in sorted(diffs.items()))
 
 
 def _emit_dots(eng, ks, out):
@@ -194,10 +189,10 @@ def cmd_analyze(cfg, eng, out):
         "candidate_pairs": len(diffs),
     }
     base = _safe_name(dg.name)
-    all_lines = _diff_lines(calc, diffs)
+    all_lines = _diff_lines(diffs)
     if cfg.spinc is not None:
         k = _check_spinc(cfg.spinc, table)
-        sub_lines = _diff_lines(calc, calc.index1_differentials(k))
+        sub_lines = _diff_lines(calc.index1_differentials(k))
     out.write(base + "_analysis.json", _dumps(doc))
     out.write(base + "_possible_differentials.txt", all_lines)
     if cfg.spinc is not None:
@@ -264,8 +259,7 @@ def cmd_homology(cfg, eng, out):
         # named from the engine stem: under `all` on a raw diagram, analyze
         # has already written the raw diagram's class under the plain name
         out.write(_safe_name(eng.name) + "_differentials_in_spinc_%d.txt"
-                  % ks[0], _diff_lines(nc.calc,
-                                       nc.calc.index1_differentials(ks[0])))
+                  % ks[0], _diff_lines(nc.calc.index1_differentials(ks[0])))
     if cfg.dot:
         _emit_dots(eng, ks, out)
     return doc

@@ -26,6 +26,7 @@ import json
 from ast import literal_eval
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 
 class DiagramError(Exception):
@@ -114,11 +115,15 @@ def make_region_list(regions, num_pointed, name="diagram"):
         )
     regs = tuple(_normalize_region(r, i) for i, r in enumerate(regions))
     labels = sorted({c for reg in regs for cir in reg for c in cir})
-    if labels != list(range(len(labels))):
-        missing = sorted(set(range(labels[-1] + 1)) - set(labels))
+    if labels[-1] != len(labels) - 1:
+        # read the gaps off the sorted labels: memory in their number only
+        gaps = (m for a, b in zip([-1] + labels, labels)
+                for m in range(a + 1, b))
         raise RegionListError(
-            "point labels are not the contiguous range 0..%d (missing %r)"
-            % (labels[-1], missing)
+            "point labels are not the contiguous range 0..%d: %d labels, "
+            "%d missing, first %r"
+            % (labels[-1], len(labels), labels[-1] + 1 - len(labels),
+               list(islice(gaps, 5)))
         )
     return RegionList(name=str(name), num_pointed=num_pointed, regions=regs)
 
@@ -406,25 +411,29 @@ class HeegaardDiagram:
         bijectively, in lexicographic point-tuple order."""
         if self._generators is not None:
             return self._generators
-        n = self.num_curves
+        n, beta_of = self.num_curves, self.beta_of
         per_alpha = [sorted(cyc) for cyc in self.alpha_curves]
-        out = []
-
-        def grow(i, chosen, used_beta):
-            if i == n:
-                perm = tuple(self.beta_of[p] for p in chosen)
-                out.append(Generator(tuple(chosen), perm, len(out)))
-                return
-            for p in per_alpha[i]:
-                j = self.beta_of[p]
-                if j not in used_beta:
-                    chosen.append(p)
-                    used_beta.add(j)
-                    grow(i + 1, chosen, used_beta)
-                    used_beta.discard(j)
-                    chosen.pop()
-
-        grow(0, [], set())
+        out, chosen, used_beta = [], [], set()
+        # depth-first without recursion: one candidate iterator per curve
+        # chosen so far, plus the one being tried
+        stack = [iter(per_alpha[0])]
+        while stack:
+            for p in stack[-1]:
+                if beta_of[p] not in used_beta:
+                    break
+            else:
+                stack.pop()
+                if chosen:
+                    used_beta.discard(beta_of[chosen.pop()])
+                continue
+            if len(chosen) + 1 == n:
+                pts = tuple(chosen) + (p,)
+                out.append(Generator(pts, tuple(beta_of[q] for q in pts),
+                                     len(out)))
+            else:
+                chosen.append(p)
+                used_beta.add(beta_of[p])
+                stack.append(iter(per_alpha[len(chosen)]))
         self._generators = tuple(out)
         return self._generators
 

@@ -50,9 +50,11 @@ The calculator exposes:
     grouped by SpinC key) with Chern numbers, divisibility, relative
     gradings, and the candidate differentials (positive index-1 domains
     between grading-adjacent generators), built one class at a time:
-    the only enumeration of them, which the Floer engine and plots read.
-    The SpinCTable owns the cyclic level rule (step, levels) that both
-    read.
+    the only enumeration of them, which the Floer engine, the CLI and
+    the plots read.  Each pair's DiffEntry carries its J+ split, computed
+    once; on a nice diagram the build also checks the Sarkar-Wang shape
+    of every domain, which its near-pair rule rests on.  The SpinCTable
+    owns the cyclic level rule (step, levels) that all of them read.
 """
 
 from __future__ import annotations
@@ -94,13 +96,35 @@ class Domain:
     dst: int
 
 
+@dataclass(frozen=True)
+class DiffEntry:
+    """All index-1 positive domains from generator src to dst.
+
+    count is the raw number of domains; j0/j2 split it by J+ value.  The
+    differential coefficient is count mod 2.
+    """
+
+    src: int
+    dst: int
+    domains: tuple
+    count: int
+    j0: int
+    j2: int
+
+    @property
+    def parity(self):
+        return self.count % 2
+
+
 class _Potential(NamedTuple):
-    """A generator's SpinC key, pointed residue, potential, corner weights."""
+    """A generator's SpinC key, pointed residue, potential, corner weights
+    and permutation cycle count."""
 
     spinc: tuple
     pointed: tuple
     chain: list
     weights: list
+    cycles: int
 
 
 def _level(g, div):
@@ -263,7 +287,7 @@ class DomainCalculator:
                 raise DomainError(
                     "potential of generator %s fails its boundary identity"
                     % (g,))
-            pots.append(_Potential(spinc, pointed, chain, w))
+            pots.append(_Potential(spinc, pointed, chain, w, g.cycles()))
         return pots
 
     def connecting_domain(self, x, y):
@@ -338,12 +362,9 @@ class DomainCalculator:
 
     def j_plus(self, dom):
         """maslov - 2e + (cycles of src) - (cycles of dst)."""
-        return (
-            self.maslov_index(dom)
-            - self._em2_total(dom.coeffs)
-            + self._gens[dom.src].cycles()
-            - self._gens[dom.dst].cycles()
-        )
+        px, py = self._potentials[dom.src], self._potentials[dom.dst]
+        return (self.maslov_index(dom) - self._em2_total(dom.coeffs)
+                + px.cycles - py.cycles)
 
     # -- boundary curve shape (domain_type) ---------------------------------
 
@@ -435,37 +456,56 @@ class DomainCalculator:
         return self._spinc
 
     def index1_differentials(self, class_index=None):
-        """(src, dst) -> positive index-1 domains, for grading-adjacent pairs
-        of one class, cached; class_index None gives the union of all.
+        """(src, dst) -> DiffEntry of the positive index-1 domains, for
+        grading-adjacent pairs of one class, cached; class_index None gives
+        the union of all.
 
         On a nice diagram each such domain is an empty bigon (one point
         moves) or rectangle (two move) (Sarkar and Wang, Ann. of Math.
         171, 2010), so pairs that differ in more than two points are not
-        scanned.
+        scanned, and every domain found is checked to have that shape.
         """
         table = self.spinc_partition()
         if class_index is None:
-            return {p: doms for k in range(len(table.classes))
-                    for p, doms in self.index1_differentials(k).items()}
+            return {p: e for k in range(len(table.classes))
+                    for p, e in self.index1_differentials(k).items()}
         if class_index in self._index1:
             return self._index1[class_index]
         members = table.classes[class_index]
         gr = table.gradings[class_index]
         at_level = table.levels(class_index)
+        nice = is_nice(self.dg)
         points = ({i: frozenset(self._gens[i].points) for i in members}
-                  if is_nice(self.dg) else None)
+                  if nice else None)
         out = {}
         for i in members:
             for j in at_level.get(table.step(class_index, gr[i], -1), ()):
-                if i == j or (points is not None
-                              and len(points[i] ^ points[j]) > 4):
+                if i == j or (nice and len(points[i] ^ points[j]) > 4):
                     continue
-                doms = [
-                    dom
-                    for dom in self.find_pos_domains(i, j)
-                    if self.maslov_index(dom) == 1
-                ]
+                doms = tuple(d for d in self.find_pos_domains(i, j)
+                             if self.maslov_index(d) == 1)
                 if doms:
-                    out[(i, j)] = doms
+                    out[(i, j)] = self._diff_entry(i, j, doms, nice)
         self._index1[class_index] = out
         return out
+
+    def _diff_entry(self, i, j, doms, nice):
+        """DiffEntry of the index-1 domains doms from i to j; on a nice
+        diagram, each must be a bigon (J+ = 0) or a rectangle (J+ = 0 or
+        2), the theorem the near-pair rule rests on."""
+        jps = []
+        for dom in doms:
+            jp = self.j_plus(dom)
+            if nice:
+                em2 = self._em2_total(dom.coeffs)
+                if em2 not in (0, 1):
+                    raise DomainError("index-1 domain on a nice diagram must "
+                                      "be a bigon or a rectangle")
+                if jp not in (0, 2):
+                    raise DomainError("index-1 domain %d -> %d has J+ = %d, "
+                                      "not 0 or 2" % (i, j, jp))
+                if em2 and jp:
+                    raise DomainError("bigon %d -> %d has J+ = %d; bigons "
+                                      "always have J+ = 0" % (i, j, jp))
+            jps.append(jp)
+        return DiffEntry(i, j, doms, len(doms), jps.count(0), jps.count(2))

@@ -4,10 +4,10 @@ Everything here runs on a nice diagram: each positive index-1 domain is
 then an empty embedded bigon or rectangle carrying exactly one curve, so
 the GF(2) differential is a finite count.  The count splits by J+ into
 d0 (J+ = 0) and d1 (J+ = 2); both are differentials and they commute.
-Nothing here scans: the domains come from the calculator's index-1
-table, and find_diffs raises FloerError on one that is not a bigon or
-rectangle with J+ in {0, 2}.  Levels and their cyclic steps come from
-the calculator's SpinCTable.
+Nothing here scans or reads a domain: each pair's count and J+ split is
+a DiffEntry of the calculator's index-1 table, which also checks that
+every domain is a bigon or rectangle with J+ in {0, 2}.  Levels and
+their cyclic steps come from the calculator's SpinCTable.
 The contact class lives in the distinguished generator's class, and its
 spectral order is computed from the two-level piece C1 -> C0 anchored
 there (one cached CanonicalPiece): reduce by the minimal subspace K, run
@@ -21,6 +21,7 @@ Vectors over GF(2) are bit-packed ints throughout (see linalg).
 from dataclasses import dataclass
 from functools import cached_property
 
+from .domains import DiffEntry
 from .linalg import F2Map, F2Quotient, F2Subspace, affine_meets_subspace
 from .nicefy import is_nice
 
@@ -41,26 +42,6 @@ class NotOpenBookError(FloerError):
 # result containers
 
 
-@dataclass(frozen=True)
-class DiffEntry:
-    """All index-1 positive domains from generator src to dst.
-
-    count is the raw number of domains; j0/j2 split it by J+ value.  The
-    differential coefficient is count mod 2.
-    """
-
-    src: int
-    dst: int
-    domains: tuple
-    count: int
-    j0: int
-    j2: int
-
-    @property
-    def parity(self):
-        return self.count % 2
-
-
 @dataclass
 class SplitDifferential:
     """Level-to-level boundary maps of one class, split by J+.
@@ -77,7 +58,6 @@ class SplitDifferential:
     d_hat: dict
     d0: dict
     d1: dict
-    entries: dict
 
 
 @dataclass(frozen=True)
@@ -338,7 +318,8 @@ class NiceComplex:
     # -- differentials ------------------------------------------------------
 
     def find_diffs(self, i, j):
-        """DiffEntry for the pair (i, j), one grading step apart."""
+        """The table's DiffEntry for the pair (i, j), one grading step
+        apart, or an empty one when no index-1 domain joins them."""
         ci = self.table.class_of[i]
         if ci != self.table.class_of[j]:
             raise FloerError(
@@ -347,26 +328,8 @@ class NiceComplex:
         if gr[i] != self.table.step(ci, gr[j], 1):
             raise FloerError(
                 "generators %d -> %d are not one grading apart" % (i, j))
-        doms = tuple(self.calc.index1_differentials(ci).get((i, j), ()))
-        j0 = j2 = 0
-        for dom in doms:
-            # the theorem the table's near-pair pruning rests on
-            em2 = self.calc._em2_total(dom.coeffs)
-            if em2 not in (0, 1):
-                raise FloerError("index-1 domain on a nice diagram must be "
-                                 "a bigon or a rectangle")
-            jp = self.calc.j_plus(dom)
-            if jp not in (0, 2):
-                raise FloerError("index-1 domain %d -> %d has J+ = %d, not "
-                                 "0 or 2" % (i, j, jp))
-            if em2 and jp:
-                raise FloerError("bigon %d -> %d has J+ = %d; bigons always "
-                                 "have J+ = 0" % (i, j, jp))
-            if jp == 0:
-                j0 += 1
-            else:
-                j2 += 1
-        return DiffEntry(i, j, doms, len(doms), j0, j2)
+        e = self.calc.index1_differentials(ci).get((i, j))
+        return e if e is not None else DiffEntry(i, j, (), 0, 0, 0)
 
     # -- boundary maps ------------------------------------------------------
 
@@ -381,9 +344,8 @@ class NiceComplex:
         # i -> j of odd count in that J+ flavor
         c0 = {g: [0] * len(basis[g]) for g in levels}
         c1 = {g: [0] * len(basis[g]) for g in levels}
-        entries = {}
         for i, j in self.calc.index1_differentials(class_index):
-            e = entries[(i, j)] = self.find_diffs(i, j)
+            e = self.find_diffs(i, j)
             if e.j0 % 2:
                 c0[gr[i]][pos[i]] |= 1 << pos[j]
             if e.j2 % 2:
@@ -399,7 +361,7 @@ class NiceComplex:
             d0[s], d1[s] = F2Map(c0[s], n), F2Map(c1[s], n)
 
         sd = SplitDifferential(class_index, self.table.div[class_index], levels,
-                               basis, d_hat, d0, d1, entries)
+                               basis, d_hat, d0, d1)
         self._assert_identities(sd)
         self._split[class_index] = sd
         return sd
@@ -531,8 +493,9 @@ def plot_complex(source, class_index, name=None):
         tag = " mod %d" % dv if dv else ""
         lines.append('  x%d [label="x%d gr=%d%s"];' % (i, i, gr[i], tag))
     if nice:
-        sd = source.build_boundary(class_index)
-        for (i, j), e in sorted(sd.entries.items()):
+        source.build_boundary(class_index)  # checks the boundary identities
+    for (i, j), e in sorted(calc.index1_differentials(class_index).items()):
+        if nice:
             if e.parity == 0:
                 continue
             if e.j0 % 2:
@@ -540,10 +503,8 @@ def plot_complex(source, class_index, name=None):
             else:
                 lines.append('  x%d -> x%d [style=dashed, label="J+=2"];'
                              % (i, j))
-    else:
-        diffs = calc.index1_differentials(class_index)
-        for (i, j), doms in sorted(diffs.items()):
-            for dom in doms:
+        else:
+            for dom in e.domains:
                 _, chi, b, g = calc.domain_type(dom)
                 if (chi, b, g) == (1, 1, 0):
                     lines.append('  x%d -> x%d [color=blue];' % (i, j))

@@ -120,17 +120,29 @@ def compute_distances(diagram):
 
 
 def _occurrences(regs, arc, parity):
-    """All (region, circuit, position) where the directed arc occurs.
+    """Each (region, circuit, position) where the directed arc occurs, in
+    order.
 
     parity 0 scans alpha slots (even positions), parity 1 beta slots."""
-    out = []
     for r, reg in enumerate(regs):
         for ci, cir in enumerate(reg):
             n = len(cir)
             for pos in range(parity, n, 2):
                 if cir[pos] == arc[0] and cir[(pos + 1) % n] == arc[1]:
-                    out.append((r, ci, pos))
-    return out
+                    yield r, ci, pos
+
+
+def _partner(regs, arc, parity, q):
+    """The arc's first occurrence outside region q, or None."""
+    return next((o for o in _occurrences(regs, arc, parity) if o[0] != q),
+                None)
+
+
+def _targets(regs, q, rc):
+    """The even positions a >= 4 of region q's rotated circuit rc whose
+    alpha arc a finger may cross: its far side is not q itself."""
+    return (a for a in range(4, len(rc) - 1, 2)
+            if _partner(regs, (rc[a + 1], rc[a]), 0, q) is not None)
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,8 @@ class _Push:
 def _push_once(regs, q, e_pos, a, next_pt):
     """Push the beta arc at odd position e_pos of disk region q across the
     alpha arc at even rotated position a (rotation puts the entry arc at
-    position 1).  Returns (new region lists, push info).
+    position 1).  Splices into regs, the caller's copy, and returns
+    (regs, push info).
 
     The source disk splits into a left piece, a right piece and a tip
     bigon; the region behind the entry arc absorbs the finger's band; the
@@ -163,12 +176,12 @@ def _push_once(regs, q, e_pos, a, next_pt):
     rc = cir[e_pos - 1:] + cir[:e_pos - 1]
     c1, c2 = rc[1], rc[2]
     ca, cb = rc[a], rc[a + 1]
-    w_occ = [o for o in _occurrences(regs, (c2, c1), 1) if o[0] != q]
-    z_occ = [o for o in _occurrences(regs, (cb, ca), 0) if o[0] != q]
-    if not w_occ:
+    w_occ = _partner(regs, (c2, c1), 1, q)
+    z_occ = _partner(regs, (cb, ca), 0, q)
+    if w_occ is None:
         raise NicefyError(
             "entry arc (%d,%d) has no partner outside region %d" % (c1, c2, q))
-    if not z_occ:
+    if z_occ is None:
         raise NicefyError(
             "target arc (%d,%d) has no partner outside region %d" % (ca, cb, q))
     wl, wr = next_pt, next_pt + 1
@@ -177,21 +190,15 @@ def _push_once(regs, q, e_pos, a, next_pt):
     right = [wr] + rc[a + 1:] + rc[:2]
     tip = [wr, wl]
 
-    new_regs = [[list(c) for c in r] for r in regs]
-    inserts = {}
-    wreg, wci, wpos = w_occ[0]
-    inserts.setdefault((wreg, wci), []).append((wpos, [wl, wr]))
-    zreg, zci, zpos = z_occ[0]
-    inserts.setdefault((zreg, zci), []).append((zpos, [wr, wl]))
-    for (r, ci), ops in inserts.items():
-        target = new_regs[r][ci]
-        for pos, body in sorted(ops, reverse=True):
-            target[pos + 1:pos + 1] = body
-
+    zreg = z_occ[0]
     z_was_bigon = len(regs[zreg]) == 1 and len(regs[zreg][0]) == 2
-    new_regs[q:q + 1] = [[left], [right], [tip]]
+    # the later position first, in case both partners share a circuit
+    for r, ci, pos, body in sorted([w_occ + ([wl, wr],),
+                                    z_occ + ([wr, wl],)], reverse=True):
+        regs[r][ci][pos + 1:pos + 1] = body
+    regs[q:q + 1] = [[left], [right], [tip]]
     z_after = zreg + 2 if zreg > q else zreg
-    return new_regs, _Push(zreg, z_after, z_was_bigon, wl, wr)
+    return regs, _Push(zreg, z_after, z_was_bigon, wl, wr)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +220,9 @@ def _one_move(regs, num_pointed, dists, next_pt, crossing_cap, name):
     entries = []
     for t in range(1, n, 2):
         arc = (cir[t], cir[(t + 1) % n])
-        occ = [o for o in _occurrences(regs, (arc[1], arc[0]), 1)
-               if o[0] != rbad]
-        if occ and dists[occ[0][0]] == d_move - 1:
-            entries.append((occ[0][0], t, arc))
+        occ = _partner(regs, (arc[1], arc[0]), 1, rbad)
+        if occ is not None and dists[occ[0]] == d_move - 1:
+            entries.append((occ[0], t, arc))
     if not entries:
         raise StuckError(
             "region %d has no neighbor at distance %d" % (rbad, d_move - 1),
@@ -233,15 +239,8 @@ def _one_move(regs, num_pointed, dists, next_pt, crossing_cap, name):
                 % (rbad, crossing_cap),
                 make_region_list(regs, num_pointed, name=name))
         cir = regs[q][0]
-        n = len(cir)
         rc = cir[e_pos - 1:] + cir[:e_pos - 1]
-        chosen = None
-        for a in range(4, n - 1, 2):
-            # the far side of the target arc must not be q itself
-            if any(o[0] != q
-                   for o in _occurrences(regs, (rc[a + 1], rc[a]), 0)):
-                chosen = a
-                break
+        chosen = next(_targets(regs, q, rc), None)
         if chosen is None:
             raise StuckError(
                 "no alpha arc of region %d can be crossed" % q,
@@ -259,8 +258,8 @@ def _one_move(regs, num_pointed, dists, next_pt, crossing_cap, name):
         q = push.z_after
         if len(regs[q]) != 1:
             raise NicefyError("finger entered a region that is not a disk")
-        cap_occ = _occurrences([regs[q]], (push.w_right, push.w_left), 1)
-        e_pos = cap_occ[0][2]
+        cap = (push.w_right, push.w_left)
+        e_pos = next(_occurrences([regs[q]], cap, 1))[2]
     return regs, next_pt, MoveRecord(rbad, entry_arc, crossings, next_pt)
 
 
@@ -369,13 +368,8 @@ def random_push(region_list, rng):
         n = len(cir)
         for t in range(1, n, 2):
             rc = cir[t - 1:] + cir[:t - 1]
-            if not any(o[0] != q
-                       for o in _occurrences(regs, (rc[2], rc[1]), 1)):
-                continue
-            for a in range(4, n - 1, 2):
-                if any(o[0] != q
-                       for o in _occurrences(regs, (rc[a + 1], rc[a]), 0)):
-                    cands.append((q, t, a))
+            if _partner(regs, (rc[2], rc[1]), 1, q) is not None:
+                cands += [(q, t, a) for a in _targets(regs, q, rc)]
     if not cands:
         return None
     q, t, a = cands[rng.randrange(len(cands))]

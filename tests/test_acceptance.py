@@ -176,8 +176,8 @@ def _reduced_rank(dg):
     for members in table.classes:
         pos = {g: t for t, g in enumerate(members)}
         cols = [0] * len(members)
-        for (i, j), doms in diffs.items():
-            if i in pos and len(doms) % 2:
+        for (i, j), e in diffs.items():
+            if i in pos and len(e.domains) % 2:
                 cols[pos[i]] ^= 1 << pos[j]
         sq = [_apply(cols, c) for c in cols]
         assert all(s == 0 for s in sq)
@@ -310,7 +310,7 @@ def test_structural_identities():
                 mixed_a = [_apply(sd.d0[nxt].cols, c) for c in sd.d1[g].cols]
                 mixed_b = [_apply(sd.d1[nxt].cols, c) for c in sd.d0[g].cols]
                 assert mixed_a == mixed_b, (ci, g)
-            for e in sd.entries.values():
+            for e in nc.calc.index1_differentials(ci).values():
                 assert e.j0 + e.j2 == e.count
                 for dom in e.domains:
                     assert nc.calc.j_plus(dom) in (0, 2)

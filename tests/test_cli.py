@@ -132,6 +132,16 @@ def test_unwritable_stuck_dump_is_bad_input(tmp_path, capsys):
     assert blocker.read_text() == "keep"
 
 
+def test_huge_point_label_is_a_short_error(tmp_path, capsys):
+    src = tmp_path / "big.json"
+    src.write_text('{"num_pointed": 1, "regions": [[0, 1000000], [1000000, 0]]}')
+    rc, _, err = run(capsys, "analyze", "--input", src,
+                     "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert "0..1000000: 2 labels, 999999 missing" in err
+    assert len(err) < 1024
+
+
 @pytest.mark.parametrize("value", ['"x"', "[1]", "1.7"])
 def test_analyze_non_integer_num_pointed(tmp_path, capsys, value):
     bad = tmp_path / "bad.json"
@@ -150,6 +160,24 @@ def test_analyze_spinc_filter_and_range(tmp_path, capsys):
     rc, _, err = run(capsys, "analyze", "--input", fix("r6"),
                      "--out-dir", tmp_path, "--spinc", 99)
     assert rc == 2 and "out of range" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_index1_shape_check_guards_every_reader(tmp_path, capsys, monkeypatch,
+                                                command):
+    # on a nice diagram the index-1 table itself checks each domain's J+,
+    # so analyze and plot refuse a bad one as nice-only commands do, also
+    # under python -O
+    args = [command, "--input", fix("s3_overtwisted"), "--out-dir", tmp_path]
+    want = "internal error: index-1 domain 1 -> 0 has J+ = 1, not 0 or 2"
+    rc, _, err = run_cli_optimized(
+        args, prelude="from obfloer.domains import DomainCalculator\n"
+                      "DomainCalculator.j_plus = lambda self, dom: 1")
+    assert (rc, err.strip()) == (4, want)
+    monkeypatch.setattr(DomainCalculator, "j_plus", lambda self, dom: 1)
+    rc, _, err = run(capsys, *args)
+    assert (rc, err.strip()) == (4, want)
+    assert not any(tmp_path.iterdir())
 
 
 # -- makenice ----------------------------------------------------------------
@@ -530,6 +558,27 @@ def test_json_stdout_is_machine_readable(tmp_path, capsys):
     assert doc["order"]["order"] == 0
     assert doc["analyze"]["points"] == 3
     assert "makenice" not in doc  # already nice
+
+
+def test_genus_2000_runs_every_form(tmp_path, capsys):
+    # the connected sum of 2000 tight tori, a diagram of S^3 with one
+    # generator: nothing may recurse once per curve
+    src = tmp_path / "g2000.json"
+    src.write_text(json.dumps({"num_pointed": 1, "regions": [
+        [[i, i, i, i] for i in range(2000)]]}))
+    for command in ("analyze", "plot", "makenice"):
+        rc, _, err = run(capsys, command, "--input", src,
+                         "--out-dir", tmp_path / command)
+        assert (rc, err) == (0, ""), command
+    rc, out, _ = run(capsys, "all", "--input", src, "--out-dir",
+                     tmp_path / "all", "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["analyze"]["curves"] == 2000
+    assert doc["analyze"]["generators"] == 1
+    assert doc["contact"]["contact_class"] == "nonzero"
+    assert (doc["order"]["order"], doc["order"]["certificate"]) == (
+        "infinity", "K = C1")
 
 
 # -- engines per request ------------------------------------------------------

@@ -97,6 +97,18 @@ def test_parse_rejects_deep_nesting(text):
         parse_region_list(text, num_pointed=1)
 
 
+def test_huge_label_error_is_short():
+    # the missing labels are read off the present ones, not listed in full
+    with pytest.raises(RegionListError) as info:
+        make_region_list([[0, 10 ** 6], [10 ** 6, 0]], 1)
+    msg = str(info.value)
+    assert len(msg) < 1024
+    assert msg == ("point labels are not the contiguous range 0..1000000: "
+                   "2 labels, 999999 missing, first [1, 2, 3, 4, 5]")
+    with pytest.raises(RegionListError, match=r"1 missing, first \[1\]$"):
+        make_region_list([[0, 2], [2, 0]], 1)
+
+
 def test_region_list_roundtrip_json():
     rl = make_region_list([[[0, 1], [2, 3]], [0, 1, 2, 3]], 1, name="nested")
     back = parse_region_list(region_list_to_json(rl))
@@ -281,6 +293,17 @@ def test_generators_match_brute_force(r22, r6, s3_overtwisted, octa2):
         for g in d.generators():
             assert g.permutation == tuple(d.beta_of[p] for p in g.points)
             assert sorted(g.permutation) == list(range(d.num_curves))
+
+
+def test_generators_of_genus_2000():
+    # the connected sum of 2000 tight tori: one generator, found without
+    # one stack frame per curve
+    d = build_diagram(make_region_list(
+        [[[i, i, i, i] for i in range(2000)]], 1))
+    assert d.num_curves == 2000
+    (g,) = d.generators()
+    assert g.points == tuple(range(2000))
+    assert g.permutation == tuple(range(2000))
 
 
 def test_generator_counts_frozen(r22, r6):

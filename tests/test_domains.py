@@ -300,8 +300,8 @@ def test_domain_type_bigon(calc_ot):
 
 def test_stored_differential_types_r6(calc_r6):
     types = {}
-    for (i, j), doms in calc_r6.index1_differentials().items():
-        for dom in doms:
+    for (i, j), e in calc_r6.index1_differentials().items():
+        for dom in e.domains:
             types[(i, j)] = (dom.coeffs, calc_r6.domain_type(dom))
     assert types == {
         (4, 2): ((1, 0, 0, 0, 0), (0, 1, 1, 0)),
@@ -319,8 +319,8 @@ def test_rectangle_jplus_values(calc_r22):
     # embedded disks among the stored differentials come in both J+ flavors:
     # cycle-merging ones at 0 and cycle-splitting ones at 2
     seen = set()
-    for doms in calc_r22.index1_differentials().values():
-        for dom in doms:
+    for e in calc_r22.index1_differentials().values():
+        for dom in e.domains:
             t = calc_r22.domain_type(dom)
             if t[1:] == (1, 1, 0):
                 seen.add(t[0])
@@ -338,7 +338,7 @@ def test_domain_type_s1s2_reads_one_circle_per_curve():
 def _index1_types(dg):
     calc = DomainCalculator(dg)
     return [calc.domain_type(dom)
-            for doms in calc.index1_differentials().values() for dom in doms]
+            for e in calc.index1_differentials().values() for dom in e.domains]
 
 
 # every admissible fixture, and seeded finger-moved variants of those that
@@ -496,12 +496,13 @@ def test_periodic_jplus_vanishes_in_torsion_class(calc_r22):
 
 def test_index1_ot(calc_ot):
     diffs = calc_ot.index1_differentials()
-    assert {(i, j): [d.coeffs for d in v] for (i, j), v in diffs.items()} == {
+    assert {(i, j): [d.coeffs for d in e.domains]
+            for (i, j), e in diffs.items()} == {
         (1, 0): [(1, 0)],
         (2, 0): [(0, 1)],
     }
-    for doms in diffs.values():
-        for dom in doms:
+    for e in diffs.values():
+        for dom in e.domains:
             assert calc_ot.maslov_index(dom) == 1
             assert calc_ot.j_plus(dom) == 0
 
@@ -509,10 +510,10 @@ def test_index1_ot(calc_ot):
 def test_index1_r22_frozen(calc_r22):
     diffs = calc_r22.index1_differentials()
     assert len(diffs) == 182
-    assert sum(len(v) for v in diffs.values()) == 190
+    assert sum(e.count for e in diffs.values()) == 190
     hist = {}
-    for doms in diffs.values():
-        for dom in doms:
+    for e in diffs.values():
+        for dom in e.domains:
             jp = calc_r22.j_plus(dom)
             assert jp >= 0 and jp % 2 == 0
             hist[jp] = hist.get(jp, 0) + 1
@@ -546,7 +547,7 @@ def test_arrows_into_contact_generator_r22(calc_r22):
     xi = calc_r22.dg.contact_generator().index
     incoming = _diffs_to(calc_r22, xi)
     assert set(incoming) == {7, 24, 36, 62, 74, 111}
-    assert sorted(len(v) for v in incoming.values()) == [1, 1, 1, 1, 2, 2]
+    assert sorted(e.count for e in incoming.values()) == [1, 1, 1, 1, 2, 2]
 
 
 # -- invariants raise DomainError ---------------------------------------------

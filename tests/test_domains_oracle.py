@@ -371,7 +371,8 @@ def check_maslov_oracle(calc):
              for members in calc.spinc_partition().classes
              for q in full.kernel_basis()]
     try:
-        doms += [d for ds in calc.index1_differentials().values() for d in ds]
+        doms += [d for e in calc.index1_differentials().values()
+                 for d in e.domains]
     except AdmissibilityError:
         pass
     for dom in doms:

@@ -14,7 +14,7 @@ import pytest
 
 from obfloer import floer
 from obfloer.diagram import ContactConventionError
-from obfloer.domains import AdmissibilityError, DomainCalculator
+from obfloer.domains import AdmissibilityError, DomainCalculator, DomainError
 from obfloer.floer import (
     FloerError,
     NiceComplex,
@@ -186,14 +186,14 @@ def test_find_diffs_rejects_bad_pairs(nc_ot, nc_l21):
 
 def test_index1_invariants_are_typed_errors(s3_overtwisted, monkeypatch):
     # the near-pair pruning rests on every index-1 domain being a bigon or
-    # a rectangle with J+ in {0, 2}; find_diffs raises FloerError, not an
-    # assert that python -O would strip
+    # a rectangle with J+ in {0, 2}; the table build raises DomainError, not
+    # an assert that python -O would strip
     monkeypatch.setattr(DomainCalculator, "j_plus", lambda self, dom: 1)
     nc = NiceComplex(DomainCalculator(s3_overtwisted))
-    with pytest.raises(FloerError, match="J\\+ = 1, not 0 or 2"):
+    with pytest.raises(DomainError, match="J\\+ = 1, not 0 or 2"):
         nc.find_diffs(1, 0)
     monkeypatch.setattr(DomainCalculator, "j_plus", lambda self, dom: 2)
-    with pytest.raises(FloerError, match="bigons always have J\\+ = 0"):
+    with pytest.raises(DomainError, match="bigons always have J\\+ = 0"):
         NiceComplex(DomainCalculator(s3_overtwisted)).find_diffs(1, 0)
 
 
@@ -243,7 +243,7 @@ def test_split_structure_ot(nc_ot):
     assert sd.d_hat[1].cols == [1, 1]
     assert sd.d0[1].cols == [1, 1]
     assert sd.d1[1].cols == [0, 0]
-    assert set(sd.entries) == {(1, 0), (2, 0)}
+    assert set(nc_ot.calc.index1_differentials(0)) == {(1, 0), (2, 0)}
 
 
 def test_split_structure_r6_contact_class(nc_r6):
@@ -355,8 +355,8 @@ def test_homology_matches_elimination_oracle(request):
         for ci, members in enumerate(nc.table.classes):
             pos = {g: k for k, g in enumerate(members)}
             cols = [0] * len(members)
-            for (i, j), doms in diffs.items():
-                if i in pos and len(doms) % 2:
+            for (i, j), e in diffs.items():
+                if i in pos and len(e.domains) % 2:
                     cols[pos[i]] |= 1 << pos[j]
             r = _rank(cols)
             expect = len(members) - 2 * r

@@ -7,8 +7,9 @@ pairs whose generators differ in at most two points, and
 NiceComplex.build_boundary reads its entries from that table.  The oracle
 is a scan in this file: find_pos_domains on every grading-adjacent pair,
 kept to the domains of Maslov index 1.  A pair with more than two moving
-points must carry none, and both the table and the boundary's entries
-must be exactly the oracle's nonempty pairs.
+points must carry none, the table must hold exactly the oracle's
+nonempty pairs, and each entry's J+ split must cover its whole count
+(every domain of a nice diagram has J+ 0 or 2).
 
 Inputs: the made-nice diagram of every fixture except r22, whose nice
 diagram (4280 generators) is too slow for this suite, and sphere4, which
@@ -84,10 +85,15 @@ def check_near_pairs(region_list):
                 far += 1
             elif (i, j) in want:
                 rectangles += moved == 2
-        assert calc.index1_differentials(k) == want, k
-        entries = cx.build_boundary(k).entries
-        assert {p: e.domains for p, e in entries.items()} == {
+        table = calc.index1_differentials(k)
+        assert {p: e.domains for p, e in table.items()} == {
             p: tuple(doms) for p, doms in want.items()}, k
+        for p, e in table.items():
+            jps = [oracle.j_plus(d) for d in want[p]]
+            assert (e.count, e.j0, e.j2) == (
+                len(jps), jps.count(0), jps.count(2)), p
+            assert e.j0 + e.j2 == e.count, p
+        cx.build_boundary(k)
     assert check_potential_differences(calc) > 0
     return far, rectangles
 
