@@ -1,15 +1,16 @@
 """Alternating before/after benchmark runs of a base ref and the working tree.
 
     python3 tools/bench_pairs.py [--base REF] [--workload NAME ...]
-                                 [--pairs N] [--seconds T] [--seed S]
+                                 [--pairs N]
 
 Extracts REF (default HEAD) with ``git archive`` into a temporary
-directory, then for each workload runs N pairs of
+directory, then for each workload runs N pairs (at least 10) of
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seconds T --trace 0
 
-once in the base tree and once in the working tree, alternating which side
-runs first.  Each run's end-to-end metrics are read from its last stdout
+with T the benchmark's own ``run_seconds`` from BENCHMARK.json and
+perfbench's default seed, once in the base tree and once in the working
+tree, alternating which side runs first.  Each run's end-to-end metrics are read from its last stdout
 line (scaled to the reference host's pace) and from its report (raw
 wall-clock).  For every metric the summary prints both sides' runs, their
 medians, the base's quartiles, and in how many pairs the working tree was
@@ -45,11 +46,11 @@ def extract(ref, dest):
             tar.extractall(dest)
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seconds):
     """One perfbench run in tree: (scaled metrics, raw metrics, failed)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -98,10 +99,12 @@ def main(argv=None):
     ap.add_argument("--base", default="HEAD", help="git ref (default HEAD)")
     ap.add_argument("--workload", action="append", choices=names,
                     help="repeat for several (default: every workload)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="pairs per workload, at least 10 (default 10)")
     ns = ap.parse_args(argv)
+    if ns.pairs < 10:
+        ap.error("--pairs must be at least 10")
+    seconds = bench["run_seconds"]
     specs = {m["name"]: m for m in bench["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         extract(ns.base, tmp)
@@ -113,15 +116,14 @@ def main(argv=None):
                                                                "base")
                 got = {}
                 for side in order:
-                    got[side] = run_once(sides[side], workload, ns.seed,
-                                         ns.seconds)
+                    got[side] = run_once(sides[side], workload, seconds)
                     print("%s pair %d %s: %s failed=%d" % (
                         workload, i, side, " ".join(
                             "%s=%.4f" % kv for kv in got[side][0].items()),
                         got[side][2]), flush=True)
                 runs.append((got["base"], got["change"]))
-            print("%s: %d pairs of %g s runs, seed %d, base %s" % (
-                workload, ns.pairs, ns.seconds, ns.seed, ns.base))
+            print("%s: %d pairs of %g s runs, base %s" % (
+                workload, ns.pairs, seconds, ns.base))
             print("  failed requests: base %d, change %d" % (
                 sum(b[2] for b, _ in runs), sum(h[2] for _, h in runs)))
             for metric, spec in specs.items():
