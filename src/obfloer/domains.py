@@ -16,14 +16,21 @@ every method names generators by their index.
 
 The calculator keeps one integer system, echelonized once: the rows of
 boundary_mat, then one row per pointed region reading its coefficient.
-One reduction per generator (IntSolver.reduce) gives a canonical residue,
-whose whole is the generator's hat key and whose boundary part is its
-SpinC key, and a potential chain; the same pass sums its corner weights.
-Two generators are joined by a hat (full) domain iff their hat (SpinC)
-keys agree, and the difference of their potentials is then one.  No
-solve and no boundary check runs per pair: each potential is checked
-once, and a difference of two checked potentials has the right boundary
-by linearity.
+One reduction per generator (IntSolver.reduce, which builds the chain as
+it reduces) gives a canonical residue, whose whole is the generator's hat
+key and whose boundary part is its SpinC key, and a potential chain,
+whose unpointed part is its hat chain.  Two generators are joined by a
+hat (full) domain iff their hat (SpinC) keys agree, and the difference of
+their (hat) chains is then one.  No solve and no boundary check runs per
+pair: each potential is checked once, and a difference of two checked
+potentials has the right boundary by linearity.
+
+The Maslov index mu(D) = n_x(D) + n_y(D) + e(D) (Lipshitz, Geom. Topol.
+10, 2006) is linear in D, so the same pass gives each generator g one
+index vector u_g: its corner weights (the point measures at its points,
+times 4) plus euler_measures_2.  Then 4 mu(D: x -> y) = D . u_x + D . u_y,
+a Chern number is P . u_g / 2, and an index is one pass over the
+regions; every numerator is checked to be divisible by 4.
 
 The calculator exposes:
 
@@ -33,7 +40,7 @@ The calculator exposes:
     read off the positive-domain scan's compiled projection at zero
     constants;
   * connecting_domain / find_pos_domains: one solution (a difference of
-    potentials), or the full list of nonnegative solutions (a
+    hat chains), or the full list of nonnegative solutions (a
     bounded-polytope lattice scan around it, sorted).  The scan's rows are
     the regions' periodic rows, fixed per calculator: Fourier-Motzkin runs
     on them once, with parallel rows collapsed at every level, into a
@@ -42,19 +49,19 @@ The calculator exposes:
     sign check before any scan; every domain found is checked;
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
     switches, and the (J+, chi, b, g) shape of the underlying curve, its
-    boundary circles read off the two generators' permutations; a Chern
-    number is the index of a periodic domain read from g to g.  Point
-    measures enter through per-generator corner weights, summed when the
-    generator is reduced, so an index is one pass over the regions;
+    boundary circles read off the two generators' permutations; all
+    read the two generators' index vectors;
   * spinc_partition / index1_differentials: SpinC classes (generators
     grouped by SpinC key) with Chern numbers, divisibility, relative
     gradings, and the candidate differentials (positive index-1 domains
     between grading-adjacent generators), built one class at a time:
     the only enumeration of them, which the Floer engine, the CLI and
-    the plots read.  Each pair's DiffEntry carries its J+ split, computed
-    once; on a nice diagram the build also checks the Sarkar-Wang shape
-    of every domain, which its near-pair rule rests on.  The SpinCTable
-    owns the cyclic level rule (step, levels) that all of them read.
+    the plots read.  One pass per pair scans straight from the two hat
+    chains and reads each domain's 4 mu and 2e once, for the index-1
+    filter, its J+ (for the DiffEntry's split) and, on a nice diagram,
+    the Sarkar-Wang shape check its near-pair rule rests on.  The
+    SpinCTable owns the cyclic level rule (step, levels) that all of them
+    read.
 """
 
 from __future__ import annotations
@@ -117,14 +124,44 @@ class DiffEntry:
 
 
 class _Potential(NamedTuple):
-    """A generator's SpinC key, pointed residue, potential, corner weights
-    and permutation cycle count."""
+    """A generator's SpinC key, pointed residue, potential over all regions
+    and over the unpointed ones (its hat chain), index vector and
+    permutation cycle count."""
 
     spinc: tuple
     pointed: tuple
     chain: list
-    weights: list
+    hat: tuple
+    index: list
     cycles: int
+
+
+def _quarter(num):
+    """mu from its numerator 4 mu, which lands in ZZ for honest domains."""
+    if num % 4:
+        raise DomainError("Maslov numerator %d not divisible by 4" % num)
+    return num // 4
+
+
+def _j_plus(mu, em2, px, py):
+    """J+ = mu - 2e + (cycles of src) - (cycles of dst), for a domain of
+    index mu and doubled Euler measure em2 between potentials px, py."""
+    return mu - em2 + px.cycles - py.cycles
+
+
+def _check_nice_shape(i, j, em2, jp):
+    """An index-1 domain i -> j on a nice diagram is a bigon (2e = 1,
+    J+ = 0) or a rectangle (2e = 0, J+ = 0 or 2), the theorem the near-pair
+    rule rests on."""
+    if em2 not in (0, 1):
+        raise DomainError("index-1 domain on a nice diagram must be a bigon "
+                          "or a rectangle")
+    if jp not in (0, 2):
+        raise DomainError("index-1 domain %d -> %d has J+ = %d, not 0 or 2"
+                          % (i, j, jp))
+    if em2 and jp:
+        raise DomainError("bigon %d -> %d has J+ = %d; bigons always have "
+                          "J+ = 0" % (i, j, jp))
 
 
 def _level(g, div):
@@ -167,7 +204,8 @@ class SpinCTable:
 
 
 class DomainCalculator:
-    """All domain-level computations for one diagram, with cached solvers."""
+    """All domain-level computations for one diagram, from one reduction
+    per generator: its keys, its chain and its index vector."""
 
     def __init__(self, diagram):
         self.dg = diagram
@@ -259,35 +297,36 @@ class DomainCalculator:
     def _potentials(self):
         """Per generator, its _Potential, from one reduction of the system.
 
-        Reducing (-indicator(g), 0) gives a residue res_g and a chain Q_g
-        with boundary -indicator(g) - res_g[:num_points] and pointed part
-        -res_g[num_points:].  A hat domain x -> y solves system . D =
+        Reducing (-indicator(g), 0) gives a residue res_g and, in the same
+        pass, a chain Q_g with boundary -indicator(g) - res_g[:num_points]
+        and pointed part -res_g[num_points:].  A hat domain x -> y solves system . D =
         (indicator(x) - indicator(y), 0), so one exists iff res_x == res_y,
         and Q_y - Q_x is one.  The echelon picks each row's column
         operations from that row alone, top down, so res_g[:num_points] is
         the residue modulo boundary_mat alone, which decides full domains
         the same way.  Each Q_g is checked once; a difference of two then
-        has the right boundary by linearity.
+        has the right boundary by linearity.  The index vector u_g starts
+        from euler_measures_2 and adds the corners at g's points.
         """
         npts, nu = self.dg.num_points, self.num_unpointed
         pointed_zero = [0] * self.dg.num_pointed
         pots = []
         for g in self._gens:
             rhs = [0] * npts
-            w = [0] * self.num_regions
+            u = list(self._em2)
             for p in g.points:
                 rhs[p] -= 1
                 for r, v in self._point_corners[p]:
-                    w[r] += v
-            y, res = self._system.reduce(rhs + pointed_zero)
+                    u[r] += v
+            chain, res = self._system.reduce(rhs + pointed_zero)
             spinc, pointed = tuple(res[:npts]), tuple(res[npts:])
-            chain = self._system.apply_u(y)
             if (self._boundary(chain) != list(map(sub, rhs, spinc))
                     or chain[nu:] != [-v for v in pointed]):
                 raise DomainError(
                     "potential of generator %s fails its boundary identity"
                     % (g,))
-            pots.append(_Potential(spinc, pointed, chain, w, g.cycles()))
+            pots.append(_Potential(spinc, pointed, chain, tuple(chain[:nu]),
+                                   u, g.cycles()))
         return pots
 
     def connecting_domain(self, x, y):
@@ -295,8 +334,7 @@ class DomainCalculator:
         px, py = self._potentials[x], self._potentials[y]
         if px.spinc != py.spinc or px.pointed != py.pointed:
             return None
-        return Domain(tuple(map(sub, py.chain[: self.num_unpointed], px.chain)),
-                      x, y)
+        return Domain(tuple(map(sub, py.hat, px.hat)), x, y)
 
     def full_connecting_domain(self, x, y):
         """Some chain over all regions from x to y, or None."""
@@ -316,9 +354,12 @@ class DomainCalculator:
         constants of base and runs an integer scan.
         """
         d0 = self.connecting_domain(x, y)
-        if d0 is None:
-            return []
-        base = d0.coeffs
+        return [] if d0 is None else self._positive_domains(x, y, d0.coeffs)
+
+    def _positive_domains(self, x, y, base):
+        """find_pos_domains from the hat domain base of x to y: each point
+        of the scan is built, checked to lie in the cone and to have the
+        boundary of a domain from x to y, and the list sorted."""
         try:
             ts = self._polytope.points(base)
         except UnboundedPolytopeError as err:
@@ -345,26 +386,19 @@ class DomainCalculator:
     # -- Maslov index and friends -------------------------------------------
 
     def maslov_index(self, dom):
-        """(n_x + n_y + 2e)(D), which lands in ZZ for honest domains.
+        """(n_x + n_y + e)(D) = (D . u_x + D . u_y) / 4.
 
         A periodic domain read from g to g gives g's Chern number.
         """
         c = dom.coeffs
         pots = self._potentials
-        tot = (
-            sum(map(mul, c, pots[dom.src].weights))
-            + sum(map(mul, c, pots[dom.dst].weights))
-            + 2 * self._em2_total(c)
-        )
-        if tot % 4:
-            raise DomainError("Maslov numerator %d not divisible by 4" % tot)
-        return tot // 4
+        return _quarter(sum(map(mul, c, pots[dom.src].index))
+                        + sum(map(mul, c, pots[dom.dst].index)))
 
     def j_plus(self, dom):
         """maslov - 2e + (cycles of src) - (cycles of dst)."""
-        px, py = self._potentials[dom.src], self._potentials[dom.dst]
-        return (self.maslov_index(dom) - self._em2_total(dom.coeffs)
-                + px.cycles - py.cycles)
+        return _j_plus(self.maslov_index(dom), self._em2_total(dom.coeffs),
+                       self._potentials[dom.src], self._potentials[dom.dst])
 
     # -- boundary curve shape (domain_type) ---------------------------------
 
@@ -418,9 +452,11 @@ class DomainCalculator:
             for i in members:
                 class_of[i] = k
 
-        chern = tuple(
-            tuple(self.maslov_index(Domain(bc, i, i)) for bc in self._periodic)
-            for i in range(len(self._gens))
+        pots = self._potentials
+        chern = tuple(  # each periodic domain read from g to g
+            tuple(_quarter(2 * sum(map(mul, bc, pot.index)))
+                  for bc in self._periodic)
+            for pot in pots
         )
         for members in classes:
             first = chern[members[0]]
@@ -431,18 +467,18 @@ class DomainCalculator:
         divs = []
         gradings = []
         for members in classes:
-            anchor = members[0]
+            qa, ua = pots[members[0]].chain, pots[members[0]].index
             d = 0
             for q in self._full_kernel:
-                d = gcd(d, self.maslov_index(Domain(q, anchor, anchor))
+                d = gcd(d, _quarter(2 * sum(map(mul, q, ua)))
                         - 2 * sum(q[-npt:]))
             divs.append(d)
             gr = {}
             for i in members:
-                dom = self.full_connecting_domain(anchor, i)
-                mu = self.maslov_index(dom)
-                nz = sum(dom.coeffs[-npt:])
-                val = -(mu - 2 * nz)  # gr(anchor) - gr(i) = mu - 2 nz
+                dom = list(map(sub, pots[i].chain, qa))  # anchor -> i
+                mu = _quarter(sum(map(mul, dom, ua))
+                              + sum(map(mul, dom, pots[i].index)))
+                val = -(mu - 2 * sum(dom[-npt:]))  # gr(anchor) - gr(i)
                 gr[i] = _level(val, d)
             gradings.append(gr)
 
@@ -460,10 +496,13 @@ class DomainCalculator:
         grading-adjacent pairs of one class, cached; class_index None gives
         the union of all.
 
-        On a nice diagram each such domain is an empty bigon (one point
-        moves) or rectangle (two move) (Sarkar and Wang, Ann. of Math.
-        171, 2010), so pairs that differ in more than two points are not
-        scanned, and every domain found is checked to have that shape.
+        Each pair is scanned once, from the difference of its hat chains,
+        and each domain found has its 4 mu and 2e read once, for the
+        index-1 filter, J+ and the shape check.  On a nice diagram each
+        index-1 domain is an empty bigon (one point moves) or rectangle
+        (two move) (Sarkar and Wang, Ann. of Math. 171, 2010), so pairs
+        that differ in more than two points are not scanned, and every
+        domain found is checked to have that shape.
         """
         table = self.spinc_partition()
         if class_index is None:
@@ -477,35 +516,30 @@ class DomainCalculator:
         nice = is_nice(self.dg)
         points = ({i: frozenset(self._gens[i].points) for i in members}
                   if nice else None)
+        pots = self._potentials
         out = {}
         for i in members:
+            px = pots[i]
             for j in at_level.get(table.step(class_index, gr[i], -1), ()):
-                if i == j or (nice and len(points[i] ^ points[j]) > 4):
+                py = pots[j]
+                if (i == j or px.pointed != py.pointed
+                        or (nice and len(points[i] ^ points[j]) > 4)):
                     continue
-                doms = tuple(d for d in self.find_pos_domains(i, j)
-                             if self.maslov_index(d) == 1)
+                doms, jps = [], []
+                base = tuple(map(sub, py.hat, px.hat))
+                for dom in self._positive_domains(i, j, base):
+                    c = dom.coeffs
+                    if _quarter(sum(map(mul, c, px.index))
+                                + sum(map(mul, c, py.index))) != 1:
+                        continue
+                    em2 = self._em2_total(c)
+                    jp = _j_plus(1, em2, px, py)
+                    if nice:
+                        _check_nice_shape(i, j, em2, jp)
+                    doms.append(dom)
+                    jps.append(jp)
                 if doms:
-                    out[(i, j)] = self._diff_entry(i, j, doms, nice)
+                    out[(i, j)] = DiffEntry(i, j, tuple(doms), len(doms),
+                                            jps.count(0), jps.count(2))
         self._index1[class_index] = out
         return out
-
-    def _diff_entry(self, i, j, doms, nice):
-        """DiffEntry of the index-1 domains doms from i to j; on a nice
-        diagram, each must be a bigon (J+ = 0) or a rectangle (J+ = 0 or
-        2), the theorem the near-pair rule rests on."""
-        jps = []
-        for dom in doms:
-            jp = self.j_plus(dom)
-            if nice:
-                em2 = self._em2_total(dom.coeffs)
-                if em2 not in (0, 1):
-                    raise DomainError("index-1 domain on a nice diagram must "
-                                      "be a bigon or a rectangle")
-                if jp not in (0, 2):
-                    raise DomainError("index-1 domain %d -> %d has J+ = %d, "
-                                      "not 0 or 2" % (i, j, jp))
-                if em2 and jp:
-                    raise DomainError("bigon %d -> %d has J+ = %d; bigons "
-                                      "always have J+ = 0" % (i, j, jp))
-            jps.append(jp)
-        return DiffEntry(i, j, doms, len(doms), jps.count(0), jps.count(2))

@@ -78,50 +78,40 @@ class IntSolver:
             ncols = len(mat[0]) if self.nrows else 0
         self.ncols = ncols
         self.hcols, self.ucols, self.pivots = _column_echelon(mat, ncols)
-        # nonzero entries of the pivot columns of H and U
-        self._hpiv = [
-            (row, col, [(i, v) for i, v in enumerate(self.hcols[col]) if v])
+        # per pivot: its row and entry, and the nonzero entries of its
+        # columns of H and U
+        self._piv = [
+            (row, self.hcols[col][row],
+             [(i, v) for i, v in enumerate(self.hcols[col]) if v],
+             [(i, v) for i, v in enumerate(self.ucols[col]) if v])
             for row, col in self.pivots
-        ]
-        self._upiv = [
-            [(i, v) for i, v in enumerate(self.ucols[col]) if v]
-            for _, col in self.pivots
         ]
 
     def reduce(self, b):
-        """(y, r) with b = H y + r and r the canonical residue of b modulo
+        """(x, r) with b = M x + r and r the canonical residue of b modulo
         the column lattice: b and b + M z always get the same r.
 
         Floor division at each pivot leaves r[row] in [0, pivot); pivot
         columns vanish above their pivot row, so later pivots never touch
-        an earlier pivot row and r is canonical.
+        an earlier pivot row and r is canonical.  Each quotient q takes q
+        times a column of H = M U off r and adds q times the same column
+        of U to x, so the chain is built in the same pass.
         """
-        y = [0] * self.ncols
+        x = [0] * self.ncols
         r = list(b)
-        for row, col, hc in self._hpiv:
-            q = r[row] // hc[0][1]
+        for row, p, hc, uc in self._piv:
+            q = r[row] // p
             if q:
-                y[col] = q
                 for i, v in hc:
                     r[i] -= q * v
-        return y, r
-
-    def apply_u(self, y):
-        """U y, for y supported on the pivot columns (as reduce returns)."""
-        x = [0] * self.ncols
-        for (_, col, _), uc in zip(self._hpiv, self._upiv):
-            q = y[col]
-            if q:
                 for i, v in uc:
                     x[i] += q * v
-        return x
+        return x, r
 
     def solve(self, b):
         """One integer solution, or None."""
-        y, r = self.reduce(b)
-        if any(r):
-            return None
-        return self.apply_u(y)
+        x, r = self.reduce(b)
+        return None if any(r) else x
 
     def kernel_basis(self):
         """Basis of the lattice {v in ZZ^n : M v = 0}, sorted, with positive

@@ -1,0 +1,79 @@
+"""tools/bench_pairs.summarize on synthetic runs: no benchmark runs here.
+
+A run is (scaled metrics, raw metrics, failed requests), as run_once
+returns it, and runs holds one (base, change) pair of them per pair.
+"""
+
+import importlib.util
+import pathlib
+
+BENCH_PAIRS = (pathlib.Path(__file__).resolve().parent.parent / "tools"
+               / "bench_pairs.py")
+
+RPS = {"name": "requests_per_s", "unit": "1/s", "better": "higher",
+       "bound": 0.24}
+P50 = {"name": "latency_p50_s", "unit": "s", "better": "lower",
+       "bound": 0.24}
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+summarize = _load().summarize
+
+
+def _runs(metric, base, change):
+    """Pairs whose raw value is twice the scaled one."""
+    return [(({metric: b}, {metric: 2 * b}, 0), ({metric: h}, {metric: 2 * h}, 0))
+            for b, h in zip(base, change)]
+
+
+def _last(metric, spec, base, change):
+    lines = summarize(metric, spec, _runs(metric, base, change))
+    assert lines[1] == "    base   " + " ".join("%.4f" % v for v in base)
+    assert lines[2] == "    change " + " ".join("%.4f" % v for v in change)
+    return lines[-1]
+
+
+def test_higher_is_better_gain_beyond_bound():
+    base = [28.0, 29.0, 30.0, 31.0, 32.0, 28.5, 29.5, 30.5, 31.5, 30.0]
+    change = [v * 1.3 for v in base]
+    change[3] = 30.0  # one pair lost
+    line = _last("requests_per_s", RPS, base, change)
+    assert "median 30.0000 -> 38.6750 (+28.9%; raw 60.0000 -> 77.3500)" in line
+    assert "change better in 9 of 10 pairs" in line
+    assert line.endswith("  BEYOND BOUND")
+
+
+def test_higher_is_better_loss_past_bound_and_noise():
+    base = [30.0] * 10
+    line = _last("requests_per_s", RPS, base, [20.0] * 10)
+    assert "(-33.3%" in line and "better in 0 of 10 pairs" in line
+    assert line.endswith("  WORSE THAN BOUND")
+    line = _last("requests_per_s", RPS, base, [33.0] * 10)
+    assert "(+10.0%" in line and "better in 10 of 10 pairs" in line
+    assert line.endswith("pairs")
+
+
+def test_lower_is_better_directions():
+    base = [0.030, 0.032, 0.034, 0.036, 0.034]
+    line = _last("latency_p50_s", P50, base, [v * 0.7 for v in base])
+    assert "better in 5 of 5 pairs" in line
+    assert line.endswith("  BEYOND BOUND")
+    line = _last("latency_p50_s", P50, base, [v * 1.3 for v in base])
+    assert "better in 0 of 5 pairs" in line
+    assert line.endswith("  WORSE THAN BOUND")
+    # a tie counts for neither side
+    line = _last("latency_p50_s", P50, base, base)
+    assert "(+0.0%" in line and "better in 0 of 5 pairs" in line
+    assert line.endswith("pairs")
+
+
+def test_header_names_direction_and_bound():
+    lines = summarize("latency_p50_s", P50, _runs("latency_p50_s", [1.0], [1.0]))
+    assert lines[0] == "  latency_p50_s (s, lower is better, bound 0.24)"
+    assert "base quartiles 1.0000-1.0000" in lines[3]

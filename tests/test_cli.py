@@ -9,6 +9,7 @@ import runpy
 
 import pytest
 
+from obfloer import domains
 from obfloer.cli import main
 from obfloer.diagram import build_diagram, parse_region_list, region_list_to_json
 from obfloer.domains import DomainCalculator
@@ -165,16 +166,17 @@ def test_analyze_spinc_filter_and_range(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["analyze", "plot"])
 def test_index1_shape_check_guards_every_reader(tmp_path, capsys, monkeypatch,
                                                 command):
-    # on a nice diagram the index-1 table itself checks each domain's J+,
-    # so analyze and plot refuse a bad one as nice-only commands do, also
-    # under python -O
+    # on a nice diagram the index-1 table itself checks each domain's J+
+    # (domains._j_plus, the formula the table and j_plus share), so analyze
+    # and plot refuse a bad one as nice-only commands do, also under
+    # python -O
     args = [command, "--input", fix("s3_overtwisted"), "--out-dir", tmp_path]
     want = "internal error: index-1 domain 1 -> 0 has J+ = 1, not 0 or 2"
     rc, _, err = run_cli_optimized(
-        args, prelude="from obfloer.domains import DomainCalculator\n"
-                      "DomainCalculator.j_plus = lambda self, dom: 1")
+        args, prelude="import obfloer.domains\n"
+                      "obfloer.domains._j_plus = lambda *args: 1")
     assert (rc, err.strip()) == (4, want)
-    monkeypatch.setattr(DomainCalculator, "j_plus", lambda self, dom: 1)
+    monkeypatch.setattr(domains, "_j_plus", lambda *args: 1)
     rc, _, err = run(capsys, *args)
     assert (rc, err.strip()) == (4, want)
     assert not any(tmp_path.iterdir())
@@ -302,8 +304,8 @@ def test_refusal_and_internal_error_under_python_O(tmp_path):
     assert "refused: distinguished generator has nonzero boundary" in err
     rc, _, err = run_cli_optimized(
         ["homology", "--input", fix("s3_overtwisted"), "--out-dir", tmp_path],
-        prelude="from obfloer.domains import DomainCalculator\n"
-                "DomainCalculator.j_plus = lambda self, dom: 1")
+        prelude="import obfloer.domains\n"
+                "obfloer.domains._j_plus = lambda *args: 1")
     assert rc == 4
     assert "internal error: index-1 domain 1 -> 0 has J+ = 1" in err
     rc, _, err = run_cli_optimized(

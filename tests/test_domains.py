@@ -5,12 +5,13 @@ Frozen values below were produced by this package and spot-checked by hand
 positive-domain scans via a plain box enumeration).
 """
 
+import itertools
 import random
 
 import pytest
 import sympy
 
-from obfloer import linalg
+from obfloer import domains, linalg
 from obfloer.cli import main
 from obfloer.diagram import build_diagram, make_region_list
 from obfloer.domains import (
@@ -555,9 +556,11 @@ def test_arrows_into_contact_generator_r22(calc_r22):
 
 def test_chern_split_is_an_internal_error(tmp_path, monkeypatch, capsys):
     # Chern numbers that differ inside one class break an exact invariant;
-    # it raises DomainError (exit 4) even under python -O
-    monkeypatch.setattr(DomainCalculator, "maslov_index",
-                        lambda self, dom: dom.src)
+    # it raises DomainError (exit 4) even under python -O.  Every Maslov
+    # index, Chern numbers included, is read through domains._quarter;
+    # patched to count its calls, no two generators share Chern numbers
+    monkeypatch.setattr(domains, "_quarter",
+                        lambda num, calls=itertools.count(): next(calls))
     with pytest.raises(DomainError, match="^Chern split a class$"):
         DomainCalculator(load_diagram("r22")).spinc_partition()
     rc = main(["analyze", "--input", str(FIXTURES / "r22.json"),
@@ -566,16 +569,16 @@ def test_chern_split_is_an_internal_error(tmp_path, monkeypatch, capsys):
     assert "internal error: Chern split a class" in capsys.readouterr().err
 
 
-# IntSolver.apply_u that adds 1 to region 0 of the third chain it maps
-# back (the calculator's system maps one per generator): that
-# generator's potential misses its boundary identity
-CORRUPT_APPLY_U = """
-def corrupt_apply_u(self, y, apply_u=IntSolver.apply_u):
-    x = apply_u(self, y)
-    self.mapped = getattr(self, "mapped", 0) + 1
-    if self.mapped == 3:
+# IntSolver.reduce that adds 1 to region 0 of the third chain it builds
+# (the calculator's system reduces once per generator): that generator's
+# potential misses its boundary identity
+CORRUPT_REDUCE = """
+def corrupt_reduce(self, b, reduce=IntSolver.reduce):
+    x, r = reduce(self, b)
+    self.reduced = getattr(self, "reduced", 0) + 1
+    if self.reduced == 3:
         x[0] += 1
-    return x
+    return x, r
 """
 
 
@@ -584,8 +587,8 @@ def test_corrupted_potential_is_an_internal_error(tmp_path, monkeypatch,
     # each potential is checked once, when potentials are built, and the
     # failure is a DomainError (exit 4), also under python -O
     space = {"IntSolver": IntSolver}
-    exec(CORRUPT_APPLY_U, space)
-    monkeypatch.setattr(IntSolver, "apply_u", space["corrupt_apply_u"])
+    exec(CORRUPT_REDUCE, space)
+    monkeypatch.setattr(IntSolver, "reduce", space["corrupt_reduce"])
     dg = load_diagram("r22")
     want = "potential of generator %s fails its boundary identity" % (
         dg.generators()[2],)
@@ -598,8 +601,8 @@ def test_corrupted_potential_is_an_internal_error(tmp_path, monkeypatch,
     assert "internal error: " + want in capsys.readouterr().err
     rc, _, err = run_cli_optimized(
         ["analyze", "--input", FIXTURES / "r22.json", "--out-dir", tmp_path],
-        prelude="from obfloer.linalg import IntSolver\n" + CORRUPT_APPLY_U
-                + "IntSolver.apply_u = corrupt_apply_u")
+        prelude="from obfloer.linalg import IntSolver\n" + CORRUPT_REDUCE
+                + "IntSolver.reduce = corrupt_reduce")
     assert rc == 4
     assert "internal error: " + want in err
 
@@ -615,14 +618,15 @@ def test_scan_point_outside_the_cone_is_an_internal_error(monkeypatch):
 
 def test_analyze_runs_fourier_motzkin_once_per_calculator(tmp_path,
                                                           monkeypatch):
-    # find_pos_domains compiles its projection into one kernel once per
-    # calculator (PolytopeScan), and the admissibility check reads the
-    # same kernel; fm_chain never runs
+    # the positive-domain scan compiles its projection into one kernel
+    # once per calculator (PolytopeScan), and the admissibility check
+    # reads the same kernel; fm_chain never runs.  The index-1 table scans
+    # each pair through _positive_domains, as find_pos_domains does
     counts = {"fm_chain": 0, "calculators": 0, "scans": 0, "kernels": 0}
     fm_chain = linalg.fm_chain
     scan_source = linalg._scan_source
     init = DomainCalculator.__init__
-    find_pos_domains = DomainCalculator.find_pos_domains
+    positive_domains = DomainCalculator._positive_domains
 
     def counted_fm(rows, nvars):
         counts["fm_chain"] += 1
@@ -636,14 +640,14 @@ def test_analyze_runs_fourier_motzkin_once_per_calculator(tmp_path,
         counts["calculators"] += 1
         init(self, diagram)
 
-    def counted_scan(self, x, y):
+    def counted_scan(self, x, y, base):
         counts["scans"] += 1
-        return find_pos_domains(self, x, y)
+        return positive_domains(self, x, y, base)
 
     monkeypatch.setattr(linalg, "fm_chain", counted_fm)
     monkeypatch.setattr(linalg, "_scan_source", counted_source)
     monkeypatch.setattr(DomainCalculator, "__init__", counted_init)
-    monkeypatch.setattr(DomainCalculator, "find_pos_domains", counted_scan)
+    monkeypatch.setattr(DomainCalculator, "_positive_domains", counted_scan)
     rc = main(["analyze", "--input", str(FIXTURES / "r22.json"),
                "--out-dir", str(tmp_path)])
     assert rc == 0

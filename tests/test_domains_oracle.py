@@ -1,5 +1,5 @@
-"""Spin-c classes, positive domains and Maslov indices against the
-per-pair paths they replaced.
+"""Spin-c classes, positive domains, index-1 tables and Maslov indices
+against the per-pair paths they replaced.
 
 DomainCalculator finds classes and connecting domains from one reduction
 per generator.  The oracles below are the per-pair path it replaced: a
@@ -9,6 +9,14 @@ give the same SpinCTable and the same positive domains, on every fixture
 and on seeded finger-moved variants.  Each generator's potential is
 checked once, so the connecting domains are checked per pair here.
 
+The index-1 table is built in one pass per pair, reading each domain's
+index and J+ off the two generators' index vectors.  Its oracle is the
+table built the old way: find_pos_domains on each pair, kept to
+maslov_index(d) == 1, then j_plus per domain.  That table, the Chern
+numbers and the gradings are checked against indices summed point by
+point (conftest.pm4_sum), on every fixture, r22's nice diagram, seeded
+r22 variants and r6's nice variants.
+
 The SpinC and hat keys come from one reduction per generator of one
 integer system; the oracle is the two-solver path it replaced (a full
 reduction, then the pointed residue modulo the full periodic lattice),
@@ -17,7 +25,7 @@ reads the positive-domain scan's compiled projection; the oracle is
 linalg.cone_is_trivial on the same rows.
 
 Maslov indices, J+ and domain shapes read the point measures through
-per-generator corner weights; the oracle is the sum over regions and
+per-generator index vectors; the oracle is the sum over regions and
 both generators' points (conftest.pm4_sum).
 """
 
@@ -39,7 +47,7 @@ from obfloer.linalg import (
     cone_is_trivial,
     lattice_points,
 )
-from obfloer.nicefy import make_nice
+from obfloer.nicefy import is_nice, make_nice
 
 from conftest import (
     FIXTURES,
@@ -65,42 +73,53 @@ def _indicator_diff(dg, xg, yg):
 
 
 def oracle_spinc_partition(calc):
-    """Anchor loop: each generator solved against every anchor in turn."""
+    """Anchor loop: each generator solved against every anchor in turn;
+    then graded by oracle_grading."""
     dg = calc.dg
     full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
     gens = dg.generators()
-    members, anchors, conn = [], [], {}
-    class_of = [None] * len(gens)
+    members, conn = [], {}
     for g in gens:
-        for ci, a in enumerate(anchors):
-            sol = full.solve(_indicator_diff(dg, a, g))
+        for mem in members:
+            sol = full.solve(_indicator_diff(dg, gens[mem[0]], g))
             if sol is not None:
-                members[ci].append(g.index)
-                class_of[g.index] = ci
+                mem.append(g.index)
                 conn[g.index] = sol
                 break
         else:
-            anchors.append(g)
             members.append([g.index])
-            class_of[g.index] = len(anchors) - 1
             conn[g.index] = [0] * dg.num_regions
+    return oracle_grading(calc, members, conn)
+
+
+def oracle_grading(calc, members, conn):
+    """The SpinCTable of these classes, each member i reached from its
+    class's first member by the full chain conn[i], with every Chern
+    number, divisor and grading summed point by point."""
+    dg = calc.dg
+    full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
+    gens = dg.generators()
+    class_of = [None] * len(gens)
+    for ci, mem in enumerate(members):
+        for i in mem:
+            class_of[i] = ci
     basis = calc.periodic_domain_basis()
     chern = tuple(
-        tuple(calc.maslov_index(Domain(b, g.index, g.index)) for b in basis)
+        tuple(oracle_maslov(calc, Domain(b, g.index, g.index)) for b in basis)
         for g in gens
     )
     npt = dg.num_pointed
     divs, gradings = [], []
-    for ci, mem in enumerate(members):
-        d, a = 0, anchors[ci].index
+    for mem in members:
+        d, a = 0, mem[0]
         for q in full.kernel_basis():
-            d = gcd(d, calc.maslov_index(Domain(tuple(q), a, a))
+            d = gcd(d, oracle_maslov(calc, Domain(tuple(q), a, a))
                     - 2 * sum(q[-npt:]))
         divs.append(d)
         gr = {}
         for i in mem:
             c = conn[i]
-            mu = calc.maslov_index(Domain(tuple(c), anchors[ci].index, i))
+            mu = oracle_maslov(calc, Domain(tuple(c), a, i))
             val = -(mu - 2 * sum(c[-npt:]))
             gr[i] = val % d if d else val
         gradings.append(gr)
@@ -134,11 +153,10 @@ def oracle_generator_keys(calc):
         rhs = [0] * dg.num_points
         for p in g.points:
             rhs[p] -= 1
-        y, r = full.reduce(rhs)
-        chain = full.apply_u(y)
-        z, s = pointed.reduce(chain[nu:])
-        for k, w in zip(kern, pointed.apply_u(z)):
-            chain = [c - w * v for c, v in zip(chain, k)]
+        chain, r = full.reduce(rhs)
+        w, s = pointed.reduce(chain[nu:])
+        for k, wk in zip(kern, w):
+            chain = [c - wk * v for c, v in zip(chain, k)]
         assert calc._boundary(chain) == [a - b for a, b in zip(rhs, r)]
         assert chain[nu:] == s
         keys.append((tuple(r), tuple(s)))
@@ -227,9 +245,11 @@ class PairOracle:
         )
 
 
-def _adjacent_pairs(table):
-    for ci, members in enumerate(table.classes):
+def _adjacent_pairs(table, classes=None):
+    """Grading-adjacent pairs of every class, or of the given ones."""
+    for ci in range(len(table.classes)) if classes is None else classes:
         gr, d = table.gradings[ci], table.div[ci]
+        members = table.classes[ci]
         for i in members:
             for j in members:
                 drop = gr[i] - gr[j] - 1
@@ -246,13 +266,64 @@ def _fast_pos_domains(calc, i, j):
     return [d.coeffs for d in doms]
 
 
+def oracle_index1_table(calc, k):
+    """Class k's index-1 table built the old way, as (src, dst) ->
+    (domains, count, j0, j2): find_pos_domains on every grading-adjacent
+    pair (on a nice diagram, the pairs that move at most two points),
+    kept to maslov_index(d) == 1, then j_plus per domain.  Every index and
+    J+ read is checked against the sum over points."""
+    table = calc.spinc_partition()
+    gens = calc.dg.generators()
+    nice = is_nice(calc.dg)
+    out = {}
+    for i, j in _adjacent_pairs(table, [k]):
+        if i == j or (
+                nice and len(set(gens[i].points) ^ set(gens[j].points)) > 4):
+            continue
+        doms, jps = [], []
+        for d in calc.find_pos_domains(i, j):
+            assert calc.maslov_index(d) == oracle_maslov(calc, d), d
+            if calc.maslov_index(d) == 1:
+                jp = calc.j_plus(d)
+                assert jp == (1 - calc._em2_total(d.coeffs) + gens[i].cycles()
+                              - gens[j].cycles()), d
+                doms.append(d)
+                jps.append(jp)
+        if doms:
+            out[(i, j)] = (tuple(doms), len(doms), jps.count(0), jps.count(2))
+    return out
+
+
+def check_tables(calc, want=None):
+    """The SpinCTable against want (default: the anchor loop's) and every
+    class's index-1 table against the old path, indices summed point by
+    point; returns how many table entries were compared
+    (AdmissibilityError when both paths refuse)."""
+    table = calc.spinc_partition()
+    if want is None:
+        want = oracle_spinc_partition(calc)
+    for field in ("classes", "class_of", "chern", "div", "gradings"):
+        assert getattr(table, field) == getattr(want, field), field
+    entries = 0
+    for k in range(len(table.classes)):
+        try:
+            old = oracle_index1_table(calc, k)
+        except AdmissibilityError:
+            with pytest.raises(AdmissibilityError):
+                calc.index1_differentials(k)
+            return AdmissibilityError
+        got = calc.index1_differentials(k)
+        assert {p: (e.domains, e.count, e.j0, e.j2)
+                for p, e in got.items()} == old, k
+        entries += len(old)
+    return entries
+
+
 def check_against_oracles(dg):
     calc = DomainCalculator(dg)
     check_keys_and_admissibility(calc)
+    check_tables(calc)
     table = calc.spinc_partition()
-    want = oracle_spinc_partition(calc)
-    for field in ("classes", "class_of", "chern", "div", "gradings"):
-        assert getattr(table, field) == getattr(want, field), field
     pairs = PairOracle(calc)
     checked = 0
     for i, j in _adjacent_pairs(table):
@@ -305,10 +376,26 @@ def test_sphere4_is_inadmissible_by_both_paths():
     assert calc.check_weak_admissibility() is False
 
 
-def test_nice_r22_keys_match_oracle():
-    calc = DomainCalculator(make_nice(load_diagram("r22")).diagram)
+@pytest.fixture(scope="module")
+def nice_r22_calc():
+    return DomainCalculator(make_nice(load_diagram("r22")).diagram)
+
+
+def test_nice_r22_keys_match_oracle(nice_r22_calc):
+    calc = nice_r22_calc
     check_keys_and_admissibility(calc)
     assert len(calc.spinc_partition().classes) > 1
+
+
+def test_nice_r22_tables_match_old_path(nice_r22_calc):
+    # the anchor loop takes half a minute on 4280 generators in 53
+    # classes; the classes here are the key oracle's (previous test), and
+    # each member is reached by a checked difference of potentials
+    calc = nice_r22_calc
+    classes = calc.spinc_partition().classes
+    conn = {i: calc._check_boundary(calc.full_connecting_domain(m[0], i)).coeffs
+            for m in classes for i in m}
+    assert check_tables(calc, oracle_grading(calc, classes, conn)) > 10000
 
 
 @pytest.mark.parametrize("pushes,seed", [(1, 0), (1, 1), (2, 0), (2, 1)])
@@ -339,6 +426,13 @@ def oracle_maslov_numerator(calc, dom):
     gens = calc.dg.generators()
     pts = gens[dom.src].points + gens[dom.dst].points
     return pm4_sum(calc, dom.coeffs, pts) + 2 * calc._em2_total(dom.coeffs)
+
+
+def oracle_maslov(calc, dom):
+    """maslov_index with its point measures summed point by point."""
+    num = oracle_maslov_numerator(calc, dom)
+    assert num % 4 == 0, dom
+    return num // 4
 
 
 def oracle_domain_type(calc, dom, jp):
@@ -398,6 +492,5 @@ def test_maslov_index_matches_point_sums(name):
     assert check_maslov_oracle(DomainCalculator(_fixture(name))) > 0
 
 
-def test_maslov_index_matches_point_sums_on_nice_r22():
-    calc = DomainCalculator(make_nice(load_diagram("r22")).diagram)
-    assert check_maslov_oracle(calc) > 10000
+def test_maslov_index_matches_point_sums_on_nice_r22(nice_r22_calc):
+    assert check_maslov_oracle(nice_r22_calc) > 10000

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from obfloer import floer
+from obfloer import domains, floer
 from obfloer.diagram import ContactConventionError
 from obfloer.domains import AdmissibilityError, DomainCalculator, DomainError
 from obfloer.floer import (
@@ -187,12 +187,13 @@ def test_find_diffs_rejects_bad_pairs(nc_ot, nc_l21):
 def test_index1_invariants_are_typed_errors(s3_overtwisted, monkeypatch):
     # the near-pair pruning rests on every index-1 domain being a bigon or
     # a rectangle with J+ in {0, 2}; the table build raises DomainError, not
-    # an assert that python -O would strip
-    monkeypatch.setattr(DomainCalculator, "j_plus", lambda self, dom: 1)
+    # an assert that python -O would strip.  domains._j_plus is the J+
+    # formula the table build and DomainCalculator.j_plus share
+    monkeypatch.setattr(domains, "_j_plus", lambda *args: 1)
     nc = NiceComplex(DomainCalculator(s3_overtwisted))
     with pytest.raises(DomainError, match="J\\+ = 1, not 0 or 2"):
         nc.find_diffs(1, 0)
-    monkeypatch.setattr(DomainCalculator, "j_plus", lambda self, dom: 2)
+    monkeypatch.setattr(domains, "_j_plus", lambda *args: 2)
     with pytest.raises(DomainError, match="bigons always have J\\+ = 0"):
         NiceComplex(DomainCalculator(s3_overtwisted)).find_diffs(1, 0)
 

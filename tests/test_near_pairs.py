@@ -116,15 +116,16 @@ def test_r6_two_push_boundaries_match_all_pairs(seed):
 
 
 def _count_scans(monkeypatch):
-    """Patch find_pos_domains to log (calculator, src, dst) per call."""
+    """Patch the positive-domain scan of one pair, which the index-1 table
+    and find_pos_domains share, to log (calculator, src, dst) per call."""
     scanned = []
-    find_pos_domains = DomainCalculator.find_pos_domains
+    positive_domains = DomainCalculator._positive_domains
 
-    def counted_scan(self, x, y):
+    def counted_scan(self, x, y, base):
         scanned.append((id(self), x, y))
-        return find_pos_domains(self, x, y)
+        return positive_domains(self, x, y, base)
 
-    monkeypatch.setattr(DomainCalculator, "find_pos_domains", counted_scan)
+    monkeypatch.setattr(DomainCalculator, "_positive_domains", counted_scan)
     return scanned
 
 

@@ -15,7 +15,9 @@ line (scaled to the reference host's pace) and from its report (raw
 wall-clock).  For every metric the summary prints both sides' runs, their
 medians, the base's quartiles, and in how many pairs the working tree was
 better, in the direction BENCHMARK.json declares, with the relative move
-of the median against the metric's bound.  The temporary tree is removed
+of the median against the metric's bound: WORSE THAN BOUND when the
+median moved past it in the worse direction, BEYOND BOUND when in the
+better one.  The temporary tree is removed
 at the end.  Only the standard library is used; nothing is written in the
 working tree beyond what perfbench itself writes there.
 """
@@ -77,7 +79,9 @@ def summarize(metric, spec, runs):
     q1, _, q3 = (statistics.quantiles(base, n=4) if len(base) > 1
                  else (base[0],) * 3)
     move = (mh - mb) / mb if mb else 0.0
-    worse = -move if higher else move
+    gain = move if higher else -move
+    flag = ("  WORSE THAN BOUND" if -gain > spec["bound"]
+            else "  BEYOND BOUND" if gain > spec["bound"] else "")
     raw_b = statistics.median(b[1].get(metric, float("nan")) for b, _ in runs)
     raw_h = statistics.median(h[1].get(metric, float("nan")) for _, h in runs)
     return [
@@ -87,8 +91,7 @@ def summarize(metric, spec, runs):
         "    change %s" % " ".join("%.4f" % v for v in head),
         "    median %.4f -> %.4f (%+.1f%%; raw %.4f -> %.4f), base quartiles "
         "%.4f-%.4f, change better in %d of %d pairs%s" % (
-            mb, mh, 100 * move, raw_b, raw_h, q1, q3, wins, len(runs),
-            "  WORSE THAN BOUND" if worse > spec["bound"] else ""),
+            mb, mh, 100 * move, raw_b, raw_h, q1, q3, wins, len(runs), flag),
     ]
 
 
