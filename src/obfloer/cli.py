@@ -30,7 +30,6 @@ import os
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -72,17 +71,6 @@ class CliError(Exception):
     def __init__(self, msg, code=EXIT_BAD_INPUT):
         super().__init__(msg)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: Path
-    out_dir: Path
-    spinc: int | None
-    move_cap: int
-    fmt: str
-    dot: bool
 
 
 class _Engines:
@@ -389,29 +377,26 @@ def _move_cap(text):
     return int(text)
 
 
-def _parse_args(argv):
-    ap = argparse.ArgumentParser(
-        prog="obfloer",
-        description="Heegaard Floer calculations on region-list diagrams.",
-        epilog="exit codes: 0 ok, 2 bad input, 3 refused precondition, "
-               "4 internal error",
-    )
-    ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("--input", required=True, type=Path,
-                    help="region-list JSON file")
-    ap.add_argument("--out-dir", type=Path, default=Path("."),
-                    help="directory for output artifacts (default: .)")
-    ap.add_argument("--spinc", type=int, default=None, metavar="K",
-                    help="restrict to one spin-c class")
-    ap.add_argument("--move-cap", type=_move_cap, default=10 ** 6, metavar="N",
-                    help="refuse after N finger moves")
-    ap.add_argument("--format", choices=("json", "text"), default="text",
-                    dest="fmt", help="stdout format (files are unaffected)")
-    ap.add_argument("--dot", action="store_true",
-                    help="also write DOT plots where applicable")
-    ns = ap.parse_args(argv)
-    return RunConfig(ns.command, ns.input, ns.out_dir, ns.spinc,
-                     ns.move_cap, ns.fmt, ns.dot)
+# built once: every in-process main() call parses with the same parser
+_PARSER = argparse.ArgumentParser(
+    prog="obfloer",
+    description="Heegaard Floer calculations on region-list diagrams.",
+    epilog="exit codes: 0 ok, 2 bad input, 3 refused precondition, "
+           "4 internal error",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--input", required=True, type=Path,
+                     help="region-list JSON file")
+_PARSER.add_argument("--out-dir", type=Path, default=Path("."),
+                     help="directory for output artifacts (default: .)")
+_PARSER.add_argument("--spinc", type=int, default=None, metavar="K",
+                     help="restrict to one spin-c class")
+_PARSER.add_argument("--move-cap", type=_move_cap, default=10 ** 6,
+                     metavar="N", help="refuse after N finger moves")
+_PARSER.add_argument("--format", choices=("json", "text"), default="text",
+                     dest="fmt", help="stdout format (files are unaffected)")
+_PARSER.add_argument("--dot", action="store_true",
+                     help="also write DOT plots where applicable")
 
 
 def _setup_logging():
@@ -425,7 +410,7 @@ def _setup_logging():
 
 
 def main(argv=None):
-    cfg = _parse_args(argv)
+    cfg = _PARSER.parse_args(argv)
     _setup_logging()
     try:
         text = cfg.input.read_text()

@@ -105,7 +105,10 @@ def _normalize_region(raw, idx):
 
 def make_region_list(regions, num_pointed, name="diagram"):
     """Validate raw sequences structurally and freeze them into a RegionList."""
-    if not isinstance(regions, (list, tuple)) or not regions:
+    if not isinstance(regions, (list, tuple)):
+        raise RegionListError("regions must be a list of regions, got %s"
+                              % type(regions).__name__)
+    if not regions:
         raise RegionListError("empty region list")
     if not isinstance(num_pointed, int) or isinstance(num_pointed, bool):
         raise RegionListError("num_pointed must be an integer")
@@ -159,7 +162,7 @@ def parse_region_list(text, name=None, num_pointed=None):
     return make_region_list(regions, np_, nm if nm is not None else "diagram")
 
 
-def region_list_to_json(rl, indent=2):
+def region_list_to_json(rl):
     regions = []
     for reg in rl.regions:
         if len(reg) == 1:
@@ -167,7 +170,7 @@ def region_list_to_json(rl, indent=2):
         else:
             regions.append([list(c) for c in reg])
     doc = {"name": rl.name, "num_pointed": rl.num_pointed, "regions": regions}
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,12 @@ class DiffEntry:
     src: int
     dst: int
     domains: tuple
-    count: int
     j0: int
     j2: int
+
+    @property
+    def count(self):
+        return len(self.domains)
 
     @property
     def parity(self):
@@ -539,7 +542,7 @@ class DomainCalculator:
                     doms.append(dom)
                     jps.append(jp)
                 if doms:
-                    out[(i, j)] = DiffEntry(i, j, tuple(doms), len(doms),
-                                            jps.count(0), jps.count(2))
+                    out[(i, j)] = DiffEntry(i, j, tuple(doms), jps.count(0),
+                                            jps.count(2))
         self._index1[class_index] = out
         return out

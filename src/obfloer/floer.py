@@ -329,7 +329,7 @@ class NiceComplex:
             raise FloerError(
                 "generators %d -> %d are not one grading apart" % (i, j))
         e = self.calc.index1_differentials(ci).get((i, j))
-        return e if e is not None else DiffEntry(i, j, (), 0, 0, 0)
+        return e if e is not None else DiffEntry(i, j, (), 0, 0)
 
     # -- boundary maps ------------------------------------------------------
 

@@ -260,7 +260,7 @@ def _one_move(regs, num_pointed, dists, next_pt, crossing_cap, name):
             raise NicefyError("finger entered a region that is not a disk")
         cap = (push.w_right, push.w_left)
         e_pos = next(_occurrences([regs[q]], cap, 1))[2]
-    return regs, next_pt, MoveRecord(rbad, entry_arc, crossings, next_pt)
+    return regs, MoveRecord(rbad, entry_arc, crossings, next_pt)
 
 
 def _measure(diagram, dists):
@@ -322,8 +322,8 @@ def make_nice(diagram, move_cap=10 ** 6):
             before = _measure(cur, dists)
         regs = [[list(c) for c in reg] for reg in cur.regions]
         cap = max(1000, 10 * cur.num_points)
-        regs, _, rec = _one_move(regs, cur.num_pointed, list(dists),
-                                 cur.num_points, cap, cur.name)
+        regs, rec = _one_move(regs, cur.num_pointed, list(dists),
+                              cur.num_points, cap, cur.name)
         rl = make_region_list(regs, cur.num_pointed, name=cur.name)
         cur = build_diagram(rl)
         if cur.num_regions - cur.num_points != chi or cur.num_curves != ncurves:

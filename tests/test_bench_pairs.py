@@ -32,11 +32,21 @@ def _runs(metric, base, change):
             for b, h in zip(base, change)]
 
 
-def _last(metric, spec, base, change):
+def _lines(metric, spec, base, change):
     lines = summarize(metric, spec, _runs(metric, base, change))
+    assert len(lines) == 5
     assert lines[1] == "    base   " + " ".join("%.4f" % v for v in base)
     assert lines[2] == "    change " + " ".join("%.4f" % v for v in change)
-    return lines[-1]
+    return lines
+
+
+def _last(metric, spec, base, change):
+    """The median line, which carries the flags."""
+    return _lines(metric, spec, base, change)[3]
+
+
+def _gain(metric, spec, base, change):
+    return _lines(metric, spec, base, change)[4]
 
 
 def test_higher_is_better_gain_beyond_bound():
@@ -77,3 +87,54 @@ def test_header_names_direction_and_bound():
     lines = summarize("latency_p50_s", P50, _runs("latency_p50_s", [1.0], [1.0]))
     assert lines[0] == "  latency_p50_s (s, lower is better, bound 0.24)"
     assert "base quartiles 1.0000-1.0000" in lines[3]
+
+
+WIDE = [20.0, 22.0, 25.0, 28.0, 30.0, 32.0, 35.0, 38.0, 40.0, 42.0]
+
+
+def test_wide_base_spread_is_unresolved():
+    # quartiles 24.25-38.5: a spread of 14.25 against 0.24 * 31 = 7.44
+    line = _last("requests_per_s", RPS, WIDE, WIDE)
+    assert "base quartiles 24.2500-38.5000" in line
+    assert line.endswith("pairs  UNRESOLVED")
+    # a move past the bound keeps its flag and stays unresolved
+    line = _last("requests_per_s", RPS, WIDE, [v * 0.6 for v in WIDE])
+    assert line.endswith("  WORSE THAN BOUND  UNRESOLVED")
+    # unless every change run beats every base run
+    line = _last("requests_per_s", RPS, WIDE, [43.0 + v for v in WIDE])
+    assert line.endswith("  BEYOND BOUND")
+    lower = [v / 1000 for v in WIDE]
+    line = _last("latency_p50_s", P50, lower, [v - 0.001 for v in lower])
+    assert line.endswith("pairs  UNRESOLVED")
+    line = _last("latency_p50_s", P50, lower, [0.019] * 10)
+    assert line.endswith("pairs  BEYOND BOUND")
+    # the spread is read off the base runs only
+    line = _last("requests_per_s", RPS, [30.0] * 10, WIDE)
+    assert not line.endswith("UNRESOLVED")
+
+
+def test_gain_rule_needs_nine_in_ten_and_the_base_spread():
+    base = [28.0, 29.0, 30.0, 31.0, 32.0, 28.5, 29.5, 30.5, 31.5, 30.0]
+    change = [v * 1.3 for v in base]
+    change[3] = 30.0
+    assert _gain("requests_per_s", RPS, base, change) == (
+        "    gain rule holds: better in 9 of 10 pairs (need 9), median moved "
+        "8.6750 in the better direction (need more than 2.2500)")
+    change[4] = 31.0  # a second pair lost
+    assert _gain("requests_per_s", RPS, base, change).startswith(
+        "    gain rule not met: better in 8 of 10 pairs (need 9)")
+    # every pair won, but by less than the base quartile spread
+    line = _gain("requests_per_s", RPS, WIDE, [v + 1 for v in WIDE])
+    assert line == (
+        "    gain rule not met: better in 10 of 10 pairs (need 9), median "
+        "moved 1.0000 in the better direction (need more than 14.2500)")
+    # lower is better: a faster change moves the median down
+    base = [0.030, 0.032, 0.034, 0.036, 0.034, 0.031, 0.033, 0.035, 0.032,
+            0.034]
+    assert _gain("latency_p50_s", P50, base, [v - 0.01 for v in base]
+                 ).startswith("    gain rule holds: better in 10 of 10")
+    assert _gain("latency_p50_s", P50, base, [v + 0.01 for v in base]
+                 ).startswith("    gain rule not met: better in 0 of 10")
+    # ties count for neither side
+    assert _gain("latency_p50_s", P50, base, base).startswith(
+        "    gain rule not met: better in 0 of 10")

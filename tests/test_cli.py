@@ -3,6 +3,7 @@
 Runs main() in-process; every invocation writes into a fresh tmp dir.
 """
 
+import argparse
 import ast
 import json
 import runpy
@@ -143,6 +144,16 @@ def test_huge_point_label_is_a_short_error(tmp_path, capsys):
     assert len(err) < 1024
 
 
+def test_regions_not_a_list_is_bad_input(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"num_pointed": 1, "regions": {"a": 1}}')
+    dest = tmp_path / "out"
+    rc, out, err = run(capsys, "analyze", "--input", bad, "--out-dir", dest)
+    assert (rc, out) == (2, "")
+    assert err == "error: regions must be a list of regions, got dict\n"
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("value", ['"x"', "[1]", "1.7"])
 def test_analyze_non_integer_num_pointed(tmp_path, capsys, value):
     bad = tmp_path / "bad.json"
@@ -237,6 +248,32 @@ def test_negative_move_cap_is_bad_input(tmp_path, capsys, command):
                      "--out-dir", dest, "--move-cap", 0)
     assert rc == 3 and "move cap 0 reached" in err
     assert (dest / "r6_stuck.json").exists()
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    # in-process calls share the parser built at import: none is built per
+    # call, and a usage error still exits 2 with argparse's message
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *a, **kw):
+        built.append(a or kw)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        rc, _, _ = run(capsys, "analyze", "--input", fix("s3_tight"),
+                       "--out-dir", tmp_path)
+        assert rc == 0
+        assert built == []
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", "--input", str(fix("r6"))])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: obfloer [-h] --input INPUT")
+    assert ("\nobfloer: error: argument command: invalid choice: 'frobnicate'"
+            in err)
+    assert built == []
 
 
 # -- nice-only commands -------------------------------------------------------

@@ -87,6 +87,17 @@ def test_parse_rejects(regions, num_pointed):
         make_region_list(regions, num_pointed)
 
 
+@pytest.mark.parametrize("regions,kind", [
+    ({"a": 1}, "dict"), ("abc", "str"), (5, "int"),
+])
+def test_parse_rejects_regions_that_are_not_a_list(regions, kind):
+    with pytest.raises(RegionListError) as info:
+        make_region_list(regions, 1)
+    assert str(info.value) == "regions must be a list of regions, got " + kind
+    with pytest.raises(RegionListError, match="^empty region list$"):
+        make_region_list([], 1)
+
+
 @pytest.mark.parametrize("text", [
     "[" * 100000,
     '{"num_pointed": 1, "regions": %s}' % ("[" * 3000 + "]" * 3000),

@@ -17,9 +17,14 @@ medians, the base's quartiles, and in how many pairs the working tree was
 better, in the direction BENCHMARK.json declares, with the relative move
 of the median against the metric's bound: WORSE THAN BOUND when the
 median moved past it in the worse direction, BEYOND BOUND when in the
-better one.  The temporary tree is removed
-at the end.  Only the standard library is used; nothing is written in the
-working tree beyond what perfbench itself writes there.
+better one.  UNRESOLVED marks a metric whose base quartile spread is
+wider than the bound times the base median, unless every change run beats
+every base run.  A last line says whether the gain rule holds: the change
+better in at least 9 of 10 pairs (ties count for neither side), and the
+median moved in the better direction by more than the base quartile
+spread.  The temporary tree is removed at the end.  Only the standard
+library is used; nothing is written in the working tree beyond what
+perfbench itself writes there.
 """
 
 import argparse
@@ -82,6 +87,12 @@ def summarize(metric, spec, runs):
     gain = move if higher else -move
     flag = ("  WORSE THAN BOUND" if -gain > spec["bound"]
             else "  BEYOND BOUND" if gain > spec["bound"] else "")
+    all_beat = (min(head) > max(base)) if higher else (max(head) < min(base))
+    if q3 - q1 > spec["bound"] * abs(mb) and not all_beat:
+        flag += "  UNRESOLVED"
+    need = -(-9 * len(runs) // 10)
+    step = (mh - mb) if higher else (mb - mh)
+    holds = wins >= need and step > q3 - q1
     raw_b = statistics.median(b[1].get(metric, float("nan")) for b, _ in runs)
     raw_h = statistics.median(h[1].get(metric, float("nan")) for _, h in runs)
     return [
@@ -92,6 +103,10 @@ def summarize(metric, spec, runs):
         "    median %.4f -> %.4f (%+.1f%%; raw %.4f -> %.4f), base quartiles "
         "%.4f-%.4f, change better in %d of %d pairs%s" % (
             mb, mh, 100 * move, raw_b, raw_h, q1, q3, wins, len(runs), flag),
+        "    gain rule %s: better in %d of %d pairs (need %d), median moved "
+        "%.4f in the better direction (need more than %.4f)" % (
+            "holds" if holds else "not met", wins, len(runs), need, step,
+            q3 - q1),
     ]
 
 
