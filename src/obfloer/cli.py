@@ -128,11 +128,15 @@ def _safe_name(name):
     return s or "diagram"
 
 
-def _check_spinc(k, table):
-    if not 0 <= k < len(table.classes):
-        raise CliError(
-            "spinc index %d out of range (%d classes)" % (k, len(table.classes)))
-    return k
+def _classes(cfg, table):
+    """The class --spinc names, checked, or every class."""
+    n = len(table.classes)
+    if cfg.spinc is None:
+        return list(range(n))
+    if not 0 <= cfg.spinc < n:
+        raise CliError("spinc index %d out of range (%d classes)"
+                       % (cfg.spinc, n))
+    return [cfg.spinc]
 
 
 def _size_hist(dg):
@@ -179,7 +183,7 @@ def cmd_analyze(cfg, eng, out):
     base = _safe_name(dg.name)
     all_lines = _diff_lines(diffs)
     if cfg.spinc is not None:
-        k = _check_spinc(cfg.spinc, table)
+        k, = _classes(cfg, table)
         sub_lines = _diff_lines(calc.index1_differentials(k))
     out.write(base + "_analysis.json", _dumps(doc))
     out.write(base + "_possible_differentials.txt", all_lines)
@@ -222,10 +226,7 @@ def cmd_makenice(cfg, eng, out):
 
 def cmd_homology(cfg, eng, out):
     nc = eng.complex
-    if cfg.spinc is not None:
-        ks = [_check_spinc(cfg.spinc, nc.table)]
-    else:
-        ks = list(range(len(nc.table.classes)))
+    ks = _classes(cfg, nc.table)
     classes = []
     total = 0
     for k in ks:
@@ -278,11 +279,7 @@ def cmd_order(cfg, eng, out):
 
 
 def cmd_plot(cfg, eng, out):
-    table = eng.calc.spinc_partition()
-    if cfg.spinc is not None:
-        ks = [_check_spinc(cfg.spinc, table)]
-    else:
-        ks = list(range(len(table.classes)))
+    ks = _classes(cfg, eng.calc.spinc_partition())
     _emit_dots(eng, ks, out)
     return {"name": eng.dg.name, "classes": ks}
 
@@ -399,19 +396,24 @@ _PARSER.add_argument("--dot", action="store_true",
                      help="also write DOT plots where applicable")
 
 
-def _setup_logging():
-    name = os.environ.get("OBFLOER_LOG", "warning").upper()
-    level = getattr(logging, name, logging.WARNING)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv=None):
+    """Run one command and return its exit code.  Until it returns, the
+    obfloer logger writes to this call's stderr at OBFLOER_LOG's level."""
     cfg = _PARSER.parse_args(argv)
-    _setup_logging()
+    level = getattr(logging, os.environ.get("OBFLOER_LOG", "").upper(), None)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old = log.level
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
+    log.addHandler(handler)
+    try:
+        return _run(cfg)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old)
+
+
+def _run(cfg):
     try:
         text = cfg.input.read_text()
     except (OSError, UnicodeDecodeError) as e:

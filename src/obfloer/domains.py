@@ -36,17 +36,17 @@ The calculator exposes:
 
   * periodic_domain_basis: lattice basis of hat domains with empty boundary,
     as coefficient tuples (its length is the rank);
-  * check_weak_admissibility: no nonzero nonnegative periodic combination,
-    read off the positive-domain scan's compiled projection at zero
-    constants;
+  * check_weak_admissibility: no nonzero nonnegative periodic combination:
+    the positive-domain scan from the zero domain returns it alone;
   * connecting_domain / find_pos_domains: one solution (a difference of
     hat chains), or the full list of nonnegative solutions (a
-    bounded-polytope lattice scan around it, sorted).  The scan's rows are
-    the regions' periodic rows, fixed per calculator: Fourier-Motzkin runs
-    on them once, with parallel rows collapsed at every level, into a
-    compiled straight-line kernel that each pair calls with its integer
-    constants (linalg.PolytopeScan).  Regions with no periodic row are a
-    sign check before any scan; every domain found is checked;
+    bounded-polytope lattice scan around it, sorted).  The scan is built
+    from the periodic basis, fixed per calculator: Fourier-Motzkin runs
+    on its rows once, with parallel rows collapsed at every level, into a
+    compiled straight-line kernel that each pair calls with its
+    connecting domain and that returns the domains themselves
+    (linalg.PolytopeScan).  Regions with no periodic row are a sign check
+    before any scan; every domain found is checked;
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
     switches, and the (J+, chi, b, g) shape of the underlying curve, its
     boundary circles read off the two generators' permutations; all
@@ -227,11 +227,6 @@ class DomainCalculator:
         # its own echelon: this basis names the Chern numbers homology prints
         self._periodic = tuple(tuple(v) for v in IntSolver(
             bm, ncols=self.num_unpointed).kernel_basis())
-        # per unpointed region, its coefficient in each periodic basis element
-        self._basis_rows = [
-            tuple(v[r] for v in self._periodic)
-            for r in range(self.num_unpointed)
-        ]
         self._region_cols = [  # nonzero (point, entry) pairs of each column
             [(p, row[r]) for p, row in enumerate(bm) if row[r]]
             for r in range(self.num_regions)
@@ -242,6 +237,7 @@ class DomainCalculator:
             for p in range(diagram.num_points)
         ]
         self._gens = diagram.generators()
+        self._nice = is_nice(diagram)
         self._spinc = None
         self._index1 = {}  # class index -> its index-1 table
 
@@ -281,18 +277,18 @@ class DomainCalculator:
 
     @cached_property
     def _polytope(self):
-        """PolytopeScan of the periodic rows, compiled on first use."""
-        return PolytopeScan(self._basis_rows, len(self._periodic))
+        """PolytopeScan of the periodic basis, compiled on first use."""
+        return PolytopeScan(self._periodic, self.num_unpointed)
 
     def check_weak_admissibility(self):
         """True iff no nonzero combination of periodic domains is >= 0: the
-        scan's polytope at zero constants holds only the origin and is
-        bounded (linalg.cone_is_trivial on the same rows)."""
+        positive-domain scan from the zero domain returns the zero domain
+        alone and is bounded (linalg.cone_is_trivial on the basis's rows)."""
+        zero = (0,) * self.num_unpointed
         try:
-            pts = self._polytope.points([0] * len(self._basis_rows))
+            return self._polytope.points(zero) == [zero]
         except UnboundedPolytopeError:
             return False
-        return pts == [(0,) * len(self._periodic)]
 
     # -- connecting and positive domains -----------------------------------
 
@@ -349,41 +345,33 @@ class DomainCalculator:
     def find_pos_domains(self, x, y):
         """Every nonnegative hat domain from x to y, sorted by coefficients.
 
-        Scans the lattice points of {t : base + t . periodic >= 0}; raises
-        AdmissibilityError when that polytope is unbounded, which is exactly
-        a weak-admissibility failure.  The periodic rows are the same for
-        every pair, so their Fourier-Motzkin projection is compiled once per
-        calculator (linalg.PolytopeScan); a pair only combines the integer
-        constants of base and runs an integer scan.
+        Scans the domains base + t . periodic >= 0 over integer t; raises
+        AdmissibilityError when that set is unbounded, which is exactly a
+        weak-admissibility failure.  The periodic basis is the same for
+        every pair, so its Fourier-Motzkin projection is compiled once per
+        calculator (linalg.PolytopeScan); a pair only passes base, and the
+        scan returns the domains themselves.
         """
         d0 = self.connecting_domain(x, y)
         return [] if d0 is None else self._positive_domains(x, y, d0.coeffs)
 
     def _positive_domains(self, x, y, base):
-        """find_pos_domains from the hat domain base of x to y: each point
-        of the scan is built, checked to lie in the cone and to have the
-        boundary of a domain from x to y, and the list sorted."""
+        """find_pos_domains from the hat domain base of x to y: the scan's
+        domains, sorted, each checked to lie in the cone and to have the
+        boundary of a domain from x to y."""
         try:
-            ts = self._polytope.points(base)
+            found = sorted(self._polytope.points(base))
         except UnboundedPolytopeError as err:
             raise AdmissibilityError(
                 "positive domains %s -> %s form an unbounded set; "
                 "the diagram is not weakly admissible"
-                % (self._gens[x], self._gens[y])
-            ) from err
+                % (self._gens[x], self._gens[y])) from err
         out = []
-        for t in ts:
-            coeffs = base
-            for tj, bj in zip(t, self._periodic):
-                if tj:
-                    coeffs = tuple(c + tj * v for c, v in zip(coeffs, bj))
+        for coeffs in found:
             if coeffs and min(coeffs) < 0:
-                raise DomainError(
-                    "lattice scan left the nonnegative cone: %s -> %s"
-                    % (self._gens[x], self._gens[y])
-                )
+                raise DomainError("lattice scan left the nonnegative cone: "
+                                  "%s -> %s" % (self._gens[x], self._gens[y]))
             out.append(self._check_boundary(Domain(coeffs, x, y)))
-        out.sort(key=lambda d: d.coeffs)
         return out
 
     # -- Maslov index and friends -------------------------------------------
@@ -516,7 +504,7 @@ class DomainCalculator:
         members = table.classes[class_index]
         gr = table.gradings[class_index]
         at_level = table.levels(class_index)
-        nice = is_nice(self.dg)
+        nice = self._nice
         points = ({i: frozenset(self._gens[i].points) for i in members}
                   if nice else None)
         pots = self._potentials

@@ -463,7 +463,8 @@ class NiceComplex:
 
 
 def _dot_header(name):
-    return ['digraph "%s" {' % name,
+    quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+    return ['digraph "%s" {' % quoted,
             '  rankdir=TB;',
             '  node [shape=box, fontsize=10];']
 

@@ -10,7 +10,7 @@ Three independent toolboxes, all exact (no floating point anywhere):
   * integer points of rational polyhedra {t : A t + c >= 0} by
     Fourier-Motzkin elimination and interval DFS: lattice_points for one
     system, PolytopeScan for one A and many c (the projection compiled
-    once into a generated function, each c then one call of it).
+    once into a generated function, each c one call returning c + A t).
 """
 
 from __future__ import annotations
@@ -431,28 +431,31 @@ def _collapse(cands):
 
 
 class PolytopeScan:
-    """lattice_points for one coefficient matrix and many constant vectors.
+    """The points c + sum_j t_j P_j >= 0 over integer t, for one basis of
+    ncoeffs-tuples P_j and many constant vectors c.
 
-    The points of {t : a_k . t + c_k >= 0} for rows a_k fixed here and
-    constants c given per call.  Fourier-Motzkin runs once, on the a_k
+    The basis's rows a_k = (P_0[k], P_1[k], ...) fix the polytope
+    {t : a_k . t + c_k >= 0}.  Fourier-Motzkin runs once, on the a_k
     alone: each derived row records the nonnegative combination of its two
     parents, and at every level parallel rows collapse into one group,
     scaled to the lcm of their multiples, whose constant is the least
     (tightest) of its members'.  Collapsing parallel half-spaces keeps
     every level's real set, so each projection is fm_chain's: the integer
-    scan sees the same range over every prefix, returns the same points
-    and raises UnboundedPolytopeError exactly when lattice_points does.
+    scan sees the same range over every prefix, visits the same t and
+    raises UnboundedPolytopeError exactly when lattice_points does.
     Constants are never rounded between levels, which could turn a
     real-feasible but integer-empty system from a raise into [].
 
     The projection is compiled once into a straight-line kernel
     (_scan_source): the constant-row checks, each level's group minima,
-    and one nested loop per coordinate with its bounds written out.
-    lattice_points is the reference the kernel is tested against.
+    one nested loop per coordinate with its bounds written out, and each
+    point c + A t term by term.  lattice_points, its points lifted to
+    c + A t, is the reference the kernel is tested against.
     """
 
-    def __init__(self, rows, nvars):
-        self.nvars = nvars
+    def __init__(self, basis, ncoeffs):
+        nvars = len(basis)
+        rows = [tuple(b[k] for b in basis) for k in range(ncoeffs)]
         # rows with a = 0: each constant alone must be >= 0
         fixed = [k for k, a in enumerate(rows) if not any(a)]
         # steps[s]: (forms of each group, forms of rows with a = 0) from the
@@ -482,12 +485,12 @@ class PolytopeScan:
                     cands.append((comb, (q, gp, p, gn)))
             bounds[level - 1] = (lows, highs)
         space = {"UnboundedPolytopeError": UnboundedPolytopeError}
-        exec(_scan_source(fixed, steps, bounds, nvars), space)
+        exec(_scan_source(fixed, steps, bounds, rows), space)
         self._kernel = space["scan"]
 
     def points(self, consts):
-        """All integer points for these constants (one per row), in
-        lexicographic order; [] as soon as a constant row is negative."""
+        """Each point c + A t, a tuple, for these constants (one per row), in
+        lexicographic order of t; [] as soon as a constant row is negative."""
         return self._kernel(consts)
 
 
@@ -495,14 +498,15 @@ class PolytopeScan:
 _LOOPS_PER_FUNCTION = 16
 
 
-def _scan_source(fixed, steps, bounds, nvars):
+def _scan_source(fixed, steps, bounds, rows):
     """Source of scan(c), the kernel PolytopeScan compiles.
 
     Only ints formatted with %d enter the text.  c[k] is the k-th input
     constant and c<l>_<g> the constant of group g at level l, or the one
     constant it copies.  After every 16th coordinate the loops go on in a
-    nested function part<l>.
+    nested function part<l>.  The innermost loop appends c + A t.
     """
+    nvars = len(bounds)
     names = {}  # (level, group) -> source of its constant
 
     def const(level, i):
@@ -515,10 +519,12 @@ def _scan_source(fixed, steps, bounds, nvars):
         return term(m, const(level, i)) + (
             " + " + term(n, const(level, j)) if n else "")
 
+    def affine(src, a):  # src + a . t
+        return src + "".join(" %s %s" % ("+-"[x < 0], term(abs(x), "t%d" % j))
+                             for j, x in enumerate(a) if x)
+
     def quotient(level, g, a, p):  # (c_g + a . t) // p
-        src = const(level, g) + "".join(
-            " %s %s" % ("+-"[x < 0], term(abs(x), "t%d" % j))
-            for j, x in enumerate(a) if x)
+        src = affine(const(level, g), a)
         return src if p == 1 else "(%s) // %d" % (src, p)
 
     def bound(fn, terms):
@@ -558,8 +564,10 @@ def _scan_source(fixed, steps, bounds, nvars):
         hi = bound("min", [quotient(l + 1, g, a, q) for q, a, g in highs])
         lines.append(pad + "for t%d in range(%s, %s + 1):" % (l, lo, hi))
         indent += 1
-    else:
-        lines.append("    " * indent + "out.append((%s))"
-                     % "".join("t%d, " % j for j in range(nvars)))
+    else:  # with no coordinate c + A t is c, and tuple(c) copies no tuple
+        point = "".join("%s, " % affine("c[%d]" % k, a)
+                        for k, a in enumerate(rows))
+        lines.append("    " * indent + "out.append(%s)"
+                     % ("(%s)" % point if nvars else "tuple(c)"))
     return "\n".join(head + [x for part in parts for x in part]
                      + ["    out = []"] + loops + ["    return out", ""])

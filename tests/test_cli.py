@@ -5,7 +5,10 @@ Runs main() in-process; every invocation writes into a fresh tmp dir.
 
 import argparse
 import ast
+import contextlib
+import io
 import json
+import logging
 import runpy
 
 import pytest
@@ -276,6 +279,26 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     assert built == []
 
 
+def test_each_call_logs_to_its_own_stderr(tmp_path, monkeypatch):
+    # two in-process calls, each with its own stderr: each sees its own
+    # INFO lines, and the root logger's handlers are left as they were
+    monkeypatch.setenv("OBFLOER_LOG", "info")
+    root = list(logging.getLogger().handlers)
+    for k in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["analyze", "--input", str(fix("s3_tight")),
+                       "--out-dir", str(tmp_path / str(k))])
+        assert rc == 0
+        assert err.getvalue().splitlines() == [
+            "INFO obfloer: wrote %s" % (tmp_path / str(k) / name)
+            for name in ("s3_tight_analysis.json",
+                         "s3_tight_possible_differentials.txt")]
+    assert logging.getLogger().handlers == root
+    assert logging.getLogger("obfloer").handlers == []
+
+
 # -- nice-only commands -------------------------------------------------------
 
 
@@ -458,6 +481,19 @@ def test_plot_general_diagram(tmp_path, capsys):
     assert dot.startswith('digraph "r6_spinc_0" {')
     assert "->" in dot
     assert not (tmp_path / "r6_spinc_1.dot").exists()
+
+
+def test_plot_escapes_the_diagram_name(tmp_path, capsys):
+    # a name with a quote and a backslash stays one DOT string
+    doc = json.loads(fix("r6").read_text())
+    doc["name"] = 'a"b\\c'
+    src = tmp_path / "odd.json"
+    src.write_text(json.dumps(doc))
+    rc, _, _ = run(capsys, "plot", "--input", src, "--out-dir", tmp_path,
+                   "--spinc", 0)
+    assert rc == 0
+    dot = (tmp_path / "a_b_c_spinc_0.dot").read_text()
+    assert dot.startswith('digraph "a\\"b\\\\c_spinc_0" {\n')
 
 
 @pytest.mark.parametrize("name,pushes,seed", [

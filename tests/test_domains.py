@@ -538,6 +538,23 @@ def _diffs_to(calc, j):
     return {a: d for (a, b), d in diffs.items() if b == j}
 
 
+def test_niceness_is_decided_once_per_calculator(monkeypatch):
+    # the index-1 table reads niceness per class; is_nice runs once per
+    # calculator, however many classes are built
+    calls = []
+    is_nice = domains.is_nice
+    monkeypatch.setattr(domains, "is_nice",
+                        lambda dg: calls.append(dg) or is_nice(dg))
+    for name, nice in (("r22", False), ("l21", True)):
+        calls.clear()
+        calc = DomainCalculator(load_diagram(name))
+        assert len(calc.spinc_partition().classes) > 1
+        calc.index1_differentials()
+        calc.index1_differentials(0)
+        assert calls == [calc.dg]
+        assert calc._nice is nice
+
+
 def test_index1_views(calc_r6):
     assert set(_diffs_from(calc_r6, 9)) == {1, 2}
     assert set(_diffs_to(calc_r6, 0)) == {7, 8}
@@ -611,7 +628,7 @@ def test_scan_point_outside_the_cone_is_an_internal_error(monkeypatch):
     calc = DomainCalculator(load_diagram("r22"))
     assert calc.find_pos_domains(7, 0)
     monkeypatch.setattr(linalg.PolytopeScan, "points",
-                        lambda self, consts: [(-50,) * self.nvars])
+                        lambda self, consts: [(-1,) + tuple(consts[1:])])
     with pytest.raises(DomainError, match="left the nonnegative cone"):
         calc.find_pos_domains(7, 0)
 

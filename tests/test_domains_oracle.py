@@ -178,9 +178,10 @@ def check_keys_and_admissibility(calc):
     pots = calc._potentials
     assert _same_partition([r for r, _ in old], [p.spinc for p in pots])
     assert _same_partition(old, [(p.spinc, p.pointed) for p in pots])
-    rank = len(calc.periodic_domain_basis())
+    basis = calc.periodic_domain_basis()
+    rows = [tuple(b[r] for b in basis) for r in range(calc.num_unpointed)]
     assert calc.check_weak_admissibility() == cone_is_trivial(
-        calc._basis_rows, rank)
+        rows, len(basis))
 
 
 def _oracle_corner_cuts(dg, xg, yg, base, basis):

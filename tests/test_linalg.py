@@ -329,6 +329,21 @@ def test_lattice_points_vs_bruteforce():
         assert got == want
 
 
+def _scan(rows, k):
+    """PolytopeScan of the basis whose rows are rows: its transpose."""
+    return PolytopeScan([tuple(a[j] for a in rows) for j in range(k)],
+                        len(rows))
+
+
+def _lifted(rows, k, consts):
+    """lattice_points of the rows with these constants, each point t
+    lifted to c + A t, in the same order; raises as lattice_points does."""
+    full = [tuple(a) + (c,) for a, c in zip(rows, consts)]
+    return [tuple(c + sum(x * tj for x, tj in zip(a, t))
+                  for a, c in zip(rows, consts))
+            for t in lattice_points(full, k)]
+
+
 def _points_or_raise(scan, *args):
     try:
         return scan(*args)
@@ -354,19 +369,18 @@ def _random_scan_rows(rng, k, directions=4, copies=3):
 
 
 def _check_scan(rng, rows, k, seen, lo=-6, hi=9):
-    scan = PolytopeScan(rows, k)
+    scan = _scan(rows, k)
     for _ in range(4):
         consts = [rng.randint(lo, hi) for _ in rows]
-        full = [a + (c,) for a, c in zip(rows, consts)]
-        want = _points_or_raise(lattice_points, full, k)
-        assert _points_or_raise(scan.points, consts) == want, full
+        want = _points_or_raise(_lifted, rows, k, consts)
+        assert _points_or_raise(scan.points, consts) == want, (rows, consts)
         seen.add((k, "unbounded" if want == "unbounded" else bool(want),
                   not rows))
 
 
 def test_polytope_scan_vs_lattice_points():
-    # one compiled scan per coefficient matrix, several constant vectors;
-    # lattice_points on the full rows is the oracle, raise included
+    # one compiled scan per basis, several constant vectors; lattice_points
+    # on the full rows, lifted to c + A t, is the oracle, raise included
     rng = random.Random(2024)
     seen = set()
     for _ in range(400):
@@ -388,7 +402,7 @@ def test_polytope_scan_on_r22_periodic_rows():
     calc = DomainCalculator(load_diagram("r22"))
     basis = calc.periodic_domain_basis()
     rows = [tuple(b[r] for b in basis) for r in range(calc.num_unpointed)]
-    scan = PolytopeScan(rows, len(basis))
+    scan = _scan(rows, len(basis))
     rng = random.Random(22)
     members = max(calc.spinc_partition().classes, key=len)
     outcomes = set()
@@ -397,8 +411,7 @@ def test_polytope_scan_on_r22_periodic_rows():
                                       rng.choice(members)).coeffs
         spread = rng.choice([0, 1, 2, 6, 40])
         consts = [c + rng.randint(-spread, spread) for c in base]
-        full = [a + (c,) for a, c in zip(rows, consts)]
-        want = lattice_points(full, len(basis))
+        want = _lifted(rows, len(basis), consts)
         assert scan.points(consts) == want, consts
         assert scan.points(tuple(consts)) == want
         outcomes.add(len(want) > 1 if want else None)
@@ -419,14 +432,13 @@ def test_polytope_scan_with_entries_above_2_64():
             e[i] = 1
             rows += [tuple(e), tuple(-v for v in e)]
         rows = [tuple(big * v for v in a) for a in rows]
-        scan = PolytopeScan(rows, k)
+        scan = _scan(rows, k)
         for _ in range(3):
             consts = [big * rng.randint(-3, 5)
                       + rng.choice([0, 1, -1, big - 1, 1 - big,
                                     rng.randint(1 - big, big - 1)])
                       for _ in rows]
-            full = [a + (c,) for a, c in zip(rows, consts)]
-            assert scan.points(consts) == lattice_points(full, k), full
+            assert scan.points(consts) == _lifted(rows, k, consts), consts
 
 
 def test_polytope_scan_past_sixteen_coordinates():
@@ -446,17 +458,15 @@ def test_polytope_scan_past_sixteen_coordinates():
         consts += [0, 1 if i in (0, 3, 17, 20) else 0]
     rows += [unit((0, 1), (17, -1)), unit((17, -1), (20, -1))]
     consts += [0, 1]  # t_0 >= t_17, t_17 + t_20 <= 1
-    full = [a + (c,) for a, c in zip(rows, consts)]
-    want = lattice_points(full, k)
+    want = _lifted(rows, k, consts)
     assert len(want) == 10
-    assert PolytopeScan(rows, k).points(consts) == want
+    assert _scan(rows, k).points(consts) == want
     # t_18 without an upper bound raises from inside the nested function
     rows, consts = rows[:37] + rows[38:], consts[:37] + consts[38:]
-    full = [a + (c,) for a, c in zip(rows, consts)]
     with pytest.raises(UnboundedPolytopeError, match="t_18 "):
-        lattice_points(full, k)
+        _lifted(rows, k, consts)
     with pytest.raises(UnboundedPolytopeError, match="t_18 "):
-        PolytopeScan(rows, k).points(consts)
+        _scan(rows, k).points(consts)
 
 
 def test_polytope_scan_keeps_rational_constants():
@@ -466,14 +476,44 @@ def test_polytope_scan_keeps_rational_constants():
     rows = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 2), (0, 0, -2)]
     consts = [0, 0, 0, -1, 1]
     with pytest.raises(UnboundedPolytopeError, match="t_1"):
-        lattice_points([a + (c,) for a, c in zip(rows, consts)], 3)
+        _lifted(rows, 3, consts)
     with pytest.raises(UnboundedPolytopeError, match="t_1"):
-        PolytopeScan(rows, 3).points(consts)
+        _scan(rows, 3).points(consts)
     # t0 free, but 1 <= t1 <= 0: the empty real set returns [] before
     # the scan could find t0 unbounded
-    full = [(0, 1, -1), (0, -1, 0)]
-    assert lattice_points(full, 2) == []
-    assert PolytopeScan([(0, 1), (0, -1)], 2).points([-1, 0]) == []
+    rows = [(0, 1), (0, -1)]
+    assert _lifted(rows, 2, [-1, 0]) == []
+    assert _scan(rows, 2).points([-1, 0]) == []
+
+
+def test_polytope_scan_writes_multiples_into_each_point():
+    # basis entries +-2 and +-3 enter each point as k*tj terms; a row with
+    # only zero entries is a constant check
+    basis = [(1, 0, -2, 0, 3), (0, 1, -3, 0, -2)]
+    scan = PolytopeScan(basis, 5)
+    rows = [tuple(b[r] for b in basis) for r in range(5)]
+    rng = random.Random(23)
+    sizes = set()
+    for _ in range(60):
+        consts = [rng.randint(-2, 12), rng.randint(-2, 12), rng.randint(-2, 12),
+                  rng.randint(-1, 2), rng.randint(0, 12)]
+        want = _lifted(rows, 2, consts)
+        assert scan.points(consts) == want, consts
+        sizes.add(min(len(want), 2))
+    assert sizes == {0, 1, 2}
+    # in lexicographic order of t: (0, 0), (0, 1), (1, 0), (1, 1), (2, 0)
+    assert scan.points([0, 0, 5, 0, 2]) == [
+        (0, 0, 5, 0, 2), (0, 1, 2, 0, 0), (1, 0, 3, 0, 5), (1, 1, 0, 0, 3),
+        (2, 0, 1, 0, 8)]
+
+
+def test_polytope_scan_with_an_empty_basis():
+    # no periodic coordinate: the constants are the only point, or none
+    scan = PolytopeScan([], 3)
+    assert scan.points([0, 2, 1]) == [(0, 2, 1)]
+    assert scan.points((4, 0, 0)) == [(4, 0, 0)]
+    assert scan.points([0, -1, 1]) == []
+    assert PolytopeScan([], 0).points([]) == [()]
 
 
 def test_polytope_box_bounds():
