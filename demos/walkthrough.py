@@ -12,7 +12,7 @@ import pathlib
 from obfloer.diagram import build_diagram, parse_region_list
 from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex
-from obfloer.nicefy import is_nice, make_nice
+from obfloer.nicefy import make_nice
 
 HERE = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
 
@@ -45,7 +45,7 @@ print("contact generator x%d: arrows out to %s, arrows in from %s"
 
 dg = load("r6")
 print("\n== %s ==" % dg.name)
-print("nice?", is_nice(dg))
+print("nice?", dg.nice)
 res = make_nice(dg)
 fin = res.diagram
 print("%d finger moves: %d points/%d regions -> %d points/%d regions"

@@ -51,7 +51,6 @@ from .nicefy import (
     NicefyError,
     NicefyInvariantError,
     StuckError,
-    is_nice,
     make_nice,
 )
 
@@ -152,7 +151,7 @@ def _diff_lines(diffs):
 
 def _emit_dots(eng, ks, out):
     # nice diagrams always plot through the counting engine
-    src = eng.complex if is_nice(eng.dg) else eng.calc
+    src = eng.complex if eng.dg.nice else eng.calc
     base = _safe_name(eng.name)
     for k in ks:
         out.write(base + "_spinc_%d.dot" % k,
@@ -176,7 +175,7 @@ def cmd_analyze(cfg, eng, out):
         "b1": len(calc.periodic_domain_basis()),
         "generators": len(dg.generators()),
         "spinc_classes": len(table.classes),
-        "nice": is_nice(dg),
+        "nice": dg.nice,
         "weakly_admissible": calc.check_weak_admissibility(),
         "candidate_pairs": len(diffs),
     }
@@ -286,7 +285,7 @@ def cmd_plot(cfg, eng, out):
 
 def cmd_all(cfg, eng, out):
     parts = {"analyze": cmd_analyze(cfg, eng, out)}
-    if not is_nice(eng.dg):
+    if not eng.dg.nice:
         parts["makenice"], fin = _makenice_core(cfg, eng.dg, out)
         # the nice diagram's plots go beside the raw diagram's, not over them
         eng = _Engines(fin, name=eng.name + "_nice")

@@ -277,6 +277,9 @@ class HeegaardDiagram:
       contact_points            : per alpha curve, its minimum point
       contact_aligned           : whether beta indexing realizes the identity
                                   permutation on the contact tuple
+      nice                      : whether every unpointed region is one
+                                  circuit with 2 or 4 corners (a bigon or
+                                  square)
       euler_measures_2          : per region
       point_measures_4          : [region][point], corner occurrences of
                                   the point in the region (one quadrant each)
@@ -352,6 +355,8 @@ class HeegaardDiagram:
         else:
             self.beta_curves = tuple(b_cycles)
         self.contact_aligned = aligned
+        self.nice = all(len(reg) == 1 and len(reg[0]) in (2, 4)
+                        for reg in rl.regions[:self.num_unpointed])
 
         self.alpha_of = [None] * self.num_points
         self.beta_of = [None] * self.num_points

@@ -74,7 +74,6 @@ from typing import NamedTuple
 
 from .diagram import cycle_count
 from .linalg import IntSolver, PolytopeScan, UnboundedPolytopeError
-from .nicefy import is_nice
 
 # perfbench's tracer wraps lattice_points in every module that imports it,
 # and its tests read it here; nothing in this module calls it
@@ -237,7 +236,6 @@ class DomainCalculator:
             for p in range(diagram.num_points)
         ]
         self._gens = diagram.generators()
-        self._nice = is_nice(diagram)
         self._spinc = None
         self._index1 = {}  # class index -> its index-1 table
 
@@ -504,7 +502,7 @@ class DomainCalculator:
         members = table.classes[class_index]
         gr = table.gradings[class_index]
         at_level = table.levels(class_index)
-        nice = self._nice
+        nice = self.dg.nice
         points = ({i: frozenset(self._gens[i].points) for i in members}
                   if nice else None)
         pots = self._potentials

@@ -23,7 +23,6 @@ from functools import cached_property
 
 from .domains import DiffEntry
 from .linalg import F2Map, F2Quotient, F2Subspace, affine_meets_subspace
-from .nicefy import is_nice
 
 
 class FloerError(Exception):
@@ -307,7 +306,7 @@ class NiceComplex:
 
     def __init__(self, calc):
         diagram = calc.dg
-        if not is_nice(diagram):
+        if not diagram.nice:
             raise NotNiceError(
                 "diagram %r is not nice; run make_nice first" % diagram.name)
         self.diagram = diagram

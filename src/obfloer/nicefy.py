@@ -1,9 +1,10 @@
 """Finger moves: making a pointed diagram nice.
 
 A diagram is *nice* when every region without a base point is a disk with
-two or four corners.  On nice diagrams the holomorphic-curve counts behind
-the differential reduce to counting embedded bigons and rectangles, which
-is why we bother.
+two or four corners; HeegaardDiagram.nice holds that answer, decided once
+when the diagram is built.  On nice diagrams the holomorphic-curve counts
+behind the differential reduce to counting embedded bigons and rectangles,
+which is why we bother.
 
 The simplification scheme is greedy.  Pick a worst region (too many
 corners) among those farthest from the base points, and push one of its
@@ -68,17 +69,6 @@ class NiceResult:
 def region_badness(region):
     """Corners beyond a square, totalled over the region's circuits."""
     return sum(max(0, len(cir) // 2 - 2) for cir in region)
-
-
-def is_nice(diagram):
-    """True when every unpointed region is a disk bigon or square."""
-    for r in range(diagram.num_regions):
-        if diagram.is_pointed(r):
-            continue
-        reg = diagram.regions[r]
-        if len(reg) != 1 or len(reg[0]) not in (2, 4):
-            return False
-    return True
 
 
 def compute_distances(diagram):
@@ -301,7 +291,7 @@ def make_nice(diagram, move_cap=10 ** 6):
     already nice (zero moves), and otherwise a relabeled, validated nice
     diagram presenting the same manifold and contact data.
     """
-    if is_nice(diagram):
+    if diagram.nice:
         return NiceResult(diagram, ())
     for r in range(diagram.num_regions):
         if not diagram.is_pointed(r) and len(diagram.regions[r]) != 1:
@@ -313,7 +303,7 @@ def make_nice(diagram, move_cap=10 ** 6):
     cur = diagram
     moves = []
     dists = None  # of cur, carried over from the move that built it
-    while not is_nice(cur):
+    while not cur.nice:
         if len(moves) >= move_cap:
             raise StuckError("move cap %d reached" % move_cap,
                              cur.to_region_list())
@@ -338,7 +328,7 @@ def make_nice(diagram, move_cap=10 ** 6):
         before = after
 
     fin = build_diagram(_relabel(cur))
-    if not is_nice(fin):
+    if not fin.nice:
         raise NicefyInvariantError("make_nice ended on a diagram that is not nice")
     # alignment is preserved, never created: a diagram whose per-curve
     # minima hit one beta curve twice stays that way under isotopy

@@ -14,7 +14,7 @@ from obfloer.diagram import build_diagram
 from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex, order_from_split
 from obfloer.linalg import F2Map
-from obfloer.nicefy import is_nice, make_nice, random_push
+from obfloer.nicefy import make_nice, random_push
 
 from conftest import box_scan, load_diagram, load_region_list
 
@@ -64,7 +64,7 @@ def test_ingest_r6_diagram():
     t0 = time.monotonic()
     dg = load_diagram("r6")
     assert dg.num_regions == 6 and dg.num_points == 10
-    assert not is_nice(dg)
+    assert not dg.nice
     sizes = sorted(
         sum(len(c) for c in dg.regions[r])
         for r in range(dg.num_regions) if not dg.is_pointed(r)
@@ -143,7 +143,7 @@ def test_nicefication_contract():
     res = make_nice(dg)
     # validators run again on the emitted region list
     fin = build_diagram(res.diagram.to_region_list())
-    assert is_nice(fin)
+    assert fin.nice
     assert fin.num_regions - fin.num_points == -4
     again = make_nice(fin)
     assert again.moves == ()

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.summarize on synthetic runs: no benchmark runs here.
+"""tools/bench_pairs: summarize on synthetic runs, and the extraction of
+both sides' trees from a scratch git repository; no benchmark runs here.
 
 A run is (scaled metrics, raw metrics, failed requests), as run_once
 returns it, and runs holds one (base, change) pair of them per pair.
@@ -6,6 +7,10 @@ returns it, and runs holds one (base, change) pair of them per pair.
 
 import importlib.util
 import pathlib
+import shutil
+import subprocess
+
+import pytest
 
 BENCH_PAIRS = (pathlib.Path(__file__).resolve().parent.parent / "tools"
                / "bench_pairs.py")
@@ -23,7 +28,8 @@ def _load():
     return module
 
 
-summarize = _load().summarize
+bench_pairs = _load()
+summarize = bench_pairs.summarize
 
 
 def _runs(metric, base, change):
@@ -138,3 +144,37 @@ def test_gain_rule_needs_nine_in_ten_and_the_base_spread():
     # ties count for neither side
     assert _gain("latency_p50_s", P50, base, base).startswith(
         "    gain rule not met: better in 0 of 10")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_both_sides_are_extracted_trees(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text(".bench_build/\n")
+    (repo / "pkg" / "mod.py").write_text("old\n")
+    (repo / "gone.txt").write_text("tracked\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("new\n")
+    (repo / "pkg" / "added.py").write_text("untracked\n")
+    (repo / "gone.txt").unlink()
+    (repo / ".bench_build").mkdir()
+    (repo / ".bench_build" / "out.txt").write_text("scratch\n")
+
+    base, change = tmp_path / "base", tmp_path / "change"
+    bench_pairs.extract_ref("HEAD", base, root=repo)
+    bench_pairs.extract_worktree(change, root=repo)
+    assert (base / "pkg" / "mod.py").read_text() == "old\n"
+    assert (base / "gone.txt").exists()
+    assert not (base / "pkg" / "added.py").exists()
+    assert (change / "pkg" / "mod.py").read_text() == "new\n"
+    assert (change / "pkg" / "added.py").read_text() == "untracked\n"
+    assert not (change / "gone.txt").exists()
+    assert not (change / ".bench_build").exists()
+    assert (change / ".gitignore").exists()

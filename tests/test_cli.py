@@ -18,7 +18,6 @@ from obfloer.cli import main
 from obfloer.diagram import build_diagram, parse_region_list, region_list_to_json
 from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex
-from obfloer.nicefy import is_nice
 
 from conftest import FIXTURES, pushed_variant, run_cli_optimized
 
@@ -206,7 +205,7 @@ def test_makenice_r6(tmp_path, capsys):
     assert "region sizes before: 4:2 6:2 8:1 12:1" in out
     rl = parse_region_list((tmp_path / "r6_nice.json").read_text())
     fin = build_diagram(rl)
-    assert is_nice(fin)
+    assert fin.nice
     assert fin.num_regions - fin.num_points == -4  # same surface
     log = (tmp_path / "r6_makenice_log.txt").read_text()
     assert len(log.splitlines()) == 4
@@ -232,7 +231,7 @@ def test_makenice_cap_exhaustion_dumps_state(tmp_path, capsys):
     assert "move cap 2 reached" in err
     dumped = parse_region_list((tmp_path / "r6_stuck.json").read_text())
     dg = build_diagram(dumped)  # intermediate state is still a valid diagram
-    assert not is_nice(dg)
+    assert not dg.nice
 
 
 @pytest.mark.parametrize("command", ["makenice", "all"])

@@ -538,21 +538,64 @@ def _diffs_to(calc, j):
     return {a: d for (a, b), d in diffs.items() if b == j}
 
 
-def test_niceness_is_decided_once_per_calculator(monkeypatch):
-    # the index-1 table reads niceness per class; is_nice runs once per
-    # calculator, however many classes are built
-    calls = []
-    is_nice = domains.is_nice
-    monkeypatch.setattr(domains, "is_nice",
-                        lambda dg: calls.append(dg) or is_nice(dg))
-    for name, nice in (("r22", False), ("l21", True)):
-        calls.clear()
-        calc = DomainCalculator(load_diagram(name))
+def _unpointed_regions_are_squares_or_bigons(dg):
+    return all(len(reg) == 1 and len(reg[0]) in (2, 4)
+               for r, reg in enumerate(dg.regions) if not dg.is_pointed(r))
+
+
+def test_diagram_nice_matches_region_definition():
+    for path in sorted(FIXTURES.glob("*.json")):
+        dg = load_diagram(path.stem)
+        assert dg.nice is _unpointed_regions_are_squares_or_bigons(dg)
+        fin = make_nice(dg).diagram
+        assert fin.nice is _unpointed_regions_are_squares_or_bigons(fin)
+        assert fin.nice
+
+
+def test_near_pair_rule_follows_diagram_nice(monkeypatch):
+    # the index-1 table skips pairs moving more than two points, and
+    # checks each domain's bigon-or-rectangle shape, exactly when
+    # calc.dg.nice
+    scanned, shaped = [], []
+    scan = DomainCalculator._positive_domains
+    monkeypatch.setattr(
+        DomainCalculator, "_positive_domains",
+        lambda self, i, j, base: scanned.append((i, j)) or scan(self, i, j,
+                                                                base))
+    monkeypatch.setattr(domains, "_check_nice_shape",
+                        lambda *a: shaped.append(a))
+
+    def run(dg):
+        """Far pairs scanned, shape checks run, and the table."""
+        scanned.clear()
+        shaped.clear()
+        calc = DomainCalculator(dg)
         assert len(calc.spinc_partition().classes) > 1
-        calc.index1_differentials()
-        calc.index1_differentials(0)
-        assert calls == [calc.dg]
-        assert calc._nice is nice
+        diffs = calc.index1_differentials()
+        pts = [set(g.points) for g in dg.generators()]
+        far = sum(len(pts[i] ^ pts[j]) > 4 for i, j in scanned)
+        return far, len(shaped), diffs
+
+    def ndomains(diffs):
+        return sum(len(e.domains) for e in diffs.values())
+
+    r22, l21 = load_diagram("r22"), load_diagram("l21")
+    assert not r22.nice and l21.nice
+    far, checks, _ = run(r22)
+    assert far and not checks
+    far, checks, diffs = run(l21)
+    assert not far and checks == ndomains(diffs)
+    fin = make_nice(load_diagram("r6")).diagram
+    far, checks, diffs = run(fin)
+    assert not far and checks == ndomains(diffs) > 0
+    # the rule reads the attribute: flipped, each diagram gets the other
+    # rule, and on a nice diagram no far pair has an index-1 domain
+    fin.nice = False
+    far, checks, flipped = run(fin)
+    assert far and not checks and flipped == diffs
+    r22.nice = True
+    far, checks, _ = run(r22)
+    assert not far and checks
 
 
 def test_index1_views(calc_r6):

@@ -47,7 +47,7 @@ from obfloer.linalg import (
     cone_is_trivial,
     lattice_points,
 )
-from obfloer.nicefy import is_nice, make_nice
+from obfloer.nicefy import make_nice
 
 from conftest import (
     FIXTURES,
@@ -275,7 +275,7 @@ def oracle_index1_table(calc, k):
     J+ read is checked against the sum over points."""
     table = calc.spinc_partition()
     gens = calc.dg.generators()
-    nice = is_nice(calc.dg)
+    nice = calc.dg.nice
     out = {}
     for i, j in _adjacent_pairs(table, [k]):
         if i == j or (

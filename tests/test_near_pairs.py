@@ -25,7 +25,7 @@ from obfloer.cli import main
 from obfloer.diagram import build_diagram, region_list_to_json
 from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex
-from obfloer.nicefy import is_nice, make_nice
+from obfloer.nicefy import make_nice
 
 from conftest import (
     FIXTURES,
@@ -175,7 +175,7 @@ def test_analyze_dot_scans_each_pair_once(tmp_path, monkeypatch):
     # a diagram that is not nice is never pruned, and the general plot
     # reads analyze's table instead of scanning again
     dg = load_diagram("r22")
-    assert not is_nice(dg)
+    assert not dg.nice
     calc = DomainCalculator(dg)
     table = calc.spinc_partition()
     pairs = [p for k in range(len(table.classes))

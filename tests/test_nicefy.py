@@ -19,7 +19,6 @@ from obfloer.nicefy import (
     NicefyInvariantError,
     StuckError,
     compute_distances,
-    is_nice,
     make_nice,
     random_push,
     region_badness,
@@ -79,12 +78,12 @@ def test_distances_satisfy_bfs_recurrence(r22):
 
 def test_is_nice_fixtures(r6, r22, s3_overtwisted, l21, s3_tight, sphere4,
                           octa2, l31, s3_wiggle):
-    assert not is_nice(r6)
-    assert not is_nice(r22)
-    assert not is_nice(octa2)
-    assert not is_nice(s3_wiggle)
+    assert not r6.nice
+    assert not r22.nice
+    assert not octa2.nice
+    assert not s3_wiggle.nice
     for d in (s3_overtwisted, l21, s3_tight, sphere4, l31):
-        assert is_nice(d)
+        assert d.nice
 
 
 def test_r6_bad_regions(r6):
@@ -99,7 +98,7 @@ def test_badness_zero_iff_nice(r6, r22, s3_overtwisted, l21, sphere4):
     for d in (r6, r22, s3_overtwisted, l21, sphere4):
         tot = sum(region_badness(d.regions[r]) for r in range(d.num_regions)
                   if not d.is_pointed(r))
-        assert (tot == 0) == is_nice(d)
+        assert (tot == 0) == d.nice
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_make_nice_r6(r6):
         MoveRecord(region=11, entry_arc=(7, 9), crossings=2, points_after=22),
     )
     fin = res.diagram
-    assert is_nice(fin)
+    assert fin.nice
     assert fin.num_regions == 18 and fin.num_points == 22
     # Euler characteristic of the surface survives: -4 before and after
     assert r6.num_regions - r6.num_points == -4
@@ -131,7 +130,7 @@ def test_make_nice_r22(r22):
     assert [m.crossings for m in res.moves] == [1, 2, 1, 2, 3, 19, 1, 2, 3, 7,
                                                 7, 13]
     fin = res.diagram
-    assert is_nice(fin)
+    assert fin.nice
     assert fin.num_regions == 144 and fin.num_points == 148
     assert fin.num_regions - fin.num_points == r22.num_regions - r22.num_points
     assert fin.num_curves == r22.num_curves
@@ -172,14 +171,14 @@ def test_wiggle_toy_two_moves():
     # two finger moves, the second passing through the square left by the
     # first, carve it into squares and tip bigons
     toy = load_diagram("s3_wiggle")
-    assert not is_nice(toy)
+    assert not toy.nice
     res = make_nice(toy)
     assert res.moves == (
         MoveRecord(region=1, entry_arc=(2, 1), crossings=1, points_after=5),
         MoveRecord(region=1, entry_arc=(3, 1), crossings=2, points_after=9),
     )
     fin = res.diagram
-    assert is_nice(fin)
+    assert fin.nice
     sizes = sorted(len(fin.regions[r][0]) for r in range(fin.num_regions)
                    if not fin.is_pointed(r))
     assert sizes == [2, 2, 2, 4, 4, 4, 4, 4]
@@ -189,13 +188,13 @@ def test_wiggle_toy_two_moves():
 def test_make_nice_s1s2_one_move(s1s2):
     # the lone unpointed hexagon is adjacent to the pointed region, so a
     # single one-crossing finger move settles it
-    assert not is_nice(s1s2)
+    assert not s1s2.nice
     res = make_nice(s1s2)
     assert res.moves == (
         MoveRecord(region=2, entry_arc=(1, 3), crossings=1, points_after=6),
     )
     fin = res.diagram
-    assert is_nice(fin)
+    assert fin.nice
     assert fin.num_points == 6 and fin.num_regions == 6
     assert fin.contact_aligned
 
@@ -208,7 +207,7 @@ def test_make_nice_unaligned_input(octa2):
     res = make_nice(octa2)
     assert [m.crossings for m in res.moves] == [1, 1]
     fin = res.diagram
-    assert is_nice(fin)
+    assert fin.nice
     assert not fin.contact_aligned
     assert fin.num_points == 8 and fin.num_regions == 6
     sizes = sorted(len(fin.regions[r][0]) for r in range(fin.num_regions)
@@ -277,7 +276,7 @@ def test_surface_changing_move_is_an_internal_error(tmp_path, monkeypatch,
                           "(4, 3), and the progress guard refuses")
 def test_r22_seeded_push_variant_makes_nice():
     fin = make_nice(build_diagram(pushed_variant("r22", 1, 5))).diagram
-    assert is_nice(fin)
+    assert fin.nice
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ against the working tree.
     python3 tools/ab_inprocess.py [--base REF] [--workload NAME ...]
                                   [--rounds N]
 
-Extracts ``src/obfloer`` of REF (default HEAD) with ``git archive`` into a
-temporary directory as the package ``obfloer_base``; the package uses only
-relative imports, so the copy loads beside the working tree's ``obfloer``
-in this one process.  For each workload (default: all) it generates the
-inputs of rounds 0 .. N-1 (default 4) of perfbench's default seed with
+Extracts ``src/obfloer`` of REF (default HEAD) with ``git archive``, by
+tools/bench_pairs.py's ``extract_ref``, into a temporary directory as the
+package ``obfloer_base``; the package uses only relative imports, so the
+copy loads beside the working tree's ``obfloer`` in this one process.
+For each workload (default: all) it generates the inputs of rounds
+0 .. N-1 (default 4) of perfbench's default seed with
 perfbench's own ``workloads.generate`` (perfbench is imported, never
 written) and runs each input's session through both ``cli.main``s,
 alternating which side goes first from input to input and from round
@@ -30,9 +31,7 @@ import importlib
 import io
 import shutil
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -40,8 +39,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tools"))
 
 import workloads  # noqa: E402
+from bench_pairs import extract_ref  # noqa: E402
 from obfloer import cli  # noqa: E402
 
 BASE_PACKAGE = "obfloer_base"
@@ -50,14 +51,7 @@ SEED = 1  # perfbench/run.py's default seed
 
 def load_base(ref, dest):
     """Import src/obfloer of ref, extracted into dest, as obfloer_base.cli."""
-    data = subprocess.run(
-        ["git", "archive", "--format=tar", ref, "src/obfloer"], cwd=ROOT,
-        check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        if hasattr(tarfile, "data_filter"):
-            tar.extractall(dest, filter="data")
-        else:
-            tar.extractall(dest)
+    extract_ref(ref, dest, "src/obfloer")
     (dest / "src" / "obfloer").rename(dest / BASE_PACKAGE)
     sys.path.insert(0, str(dest))
     return importlib.import_module(BASE_PACKAGE + ".cli")

@@ -3,18 +3,22 @@
     python3 tools/bench_pairs.py [--base REF] [--workload NAME ...]
                                  [--pairs N]
 
-Extracts REF (default HEAD) with ``git archive`` into a temporary
-directory, then for each workload runs N pairs (at least 10) of
+Extracts REF (default HEAD) with ``git archive`` into one temporary
+directory, and the working tree (its tracked files as they are now, plus
+untracked files that .gitignore does not exclude) into another, so that
+both sides run from a fresh tree by one path and neither shares the
+checkout's ``.bench_build/``.  Then for each workload it runs N pairs (at
+least 10) of
 
     python3 perfbench/run.py --workload W --seconds T --trace 0
 
 with T the benchmark's own ``run_seconds`` from BENCHMARK.json and
-perfbench's default seed, once in the base tree and once in the working
-tree, alternating which side runs first.  Each run's end-to-end metrics are read from its last stdout
-line (scaled to the reference host's pace) and from its report (raw
-wall-clock).  For every metric the summary prints both sides' runs, their
-medians, the base's quartiles, and in how many pairs the working tree was
-better, in the direction BENCHMARK.json declares, with the relative move
+perfbench's default seed, once in the base tree and once in the change
+tree, alternating which side runs first.  Each run's end-to-end metrics
+are read from its last stdout line (scaled to the reference host's pace)
+and from its report (raw wall-clock).  For every metric the summary
+prints both sides' runs, their medians, the base's quartiles, and in how
+many pairs the working tree was better, in the direction BENCHMARK.json declares, with the relative move
 of the median against the metric's bound: WORSE THAN BOUND when the
 median moved past it in the worse direction, BEYOND BOUND when in the
 better one.  UNRESOLVED marks a metric whose base quartile spread is
@@ -22,15 +26,15 @@ wider than the bound times the base median, unless every change run beats
 every base run.  A last line says whether the gain rule holds: the change
 better in at least 9 of 10 pairs (ties count for neither side), and the
 median moved in the better direction by more than the base quartile
-spread.  The temporary tree is removed at the end.  Only the standard
-library is used; nothing is written in the working tree beyond what
-perfbench itself writes there.
+spread.  The temporary trees are removed at the end.  Only the standard
+library is used, and nothing is written in the working tree.
 """
 
 import argparse
 import io
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,15 +46,32 @@ ROOT = Path(__file__).resolve().parent.parent
 RAW_LINE = re.compile(r"^\s+(\w+)\s+(-?[\d.]+)\s+\S+\s+raw\s+(-?[\d.]+)")
 
 
-def extract(ref, dest):
-    """Write the tree of ref into dest."""
-    data = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
-                          check=True, capture_output=True).stdout
+def git(root, *args):
+    return subprocess.run(["git", *args], cwd=root, check=True,
+                          capture_output=True).stdout
+
+
+def extract_ref(ref, dest, *paths, root=ROOT):
+    """Write the tree of ref, or only the given paths of it, into dest."""
+    data = git(root, "archive", "--format=tar", ref, *paths)
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         if hasattr(tarfile, "data_filter"):
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
+
+
+def extract_worktree(dest, root=ROOT):
+    """Copy the working tree into dest: tracked files with their current
+    contents, and untracked files that are not ignored."""
+    names = git(root, "ls-files", "-z", "--cached", "--others",
+                "--exclude-standard").decode().split("\0")
+    for name in filter(None, names):
+        src = Path(root) / name
+        if src.is_file():  # a tracked file deleted from the working tree
+            target = Path(dest) / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, target)
 
 
 def run_once(tree, workload, seconds):
@@ -125,8 +146,9 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     specs = {m["name"]: m for m in bench["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        extract(ns.base, tmp)
-        sides = {"base": Path(tmp), "change": ROOT}
+        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        extract_ref(ns.base, sides["base"])
+        extract_worktree(sides["change"])
         for workload in ns.workload or names:
             runs = []
             for i in range(ns.pairs):
