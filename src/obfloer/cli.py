@@ -61,8 +61,6 @@ EXIT_BAD_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
-COMMANDS = ("analyze", "makenice", "homology", "contact", "order", "plot", "all")
-
 
 class CliError(Exception):
     """Usage-level failure carrying its exit code."""
@@ -354,12 +352,9 @@ def _render_text(command, doc):
     if command == "plot":
         return "plotted spinc classes: %s" % " ".join(
             str(k) for k in doc["classes"])
-    # all: stitch the parts in pipeline order
-    order = [k for k in
-             ("analyze", "makenice", "homology", "contact", "order")
-             if k in doc]
+    # all: the parts in the order cmd_all ran them
     return "\n".join(
-        "[%s]\n%s" % (k, _render_text(k, doc[k])) for k in order)
+        "[%s]\n%s" % (k, _render_text(k, part)) for k, part in doc.items())
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +375,7 @@ _PARSER = argparse.ArgumentParser(
     epilog="exit codes: 0 ok, 2 bad input, 3 refused precondition, "
            "4 internal error",
 )
-_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("command", choices=tuple(_DISPATCH))
 _PARSER.add_argument("--input", required=True, type=Path,
                      help="region-list JSON file")
 _PARSER.add_argument("--out-dir", type=Path, default=Path("."),

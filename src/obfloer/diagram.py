@@ -150,15 +150,19 @@ def parse_region_list(text, name=None, num_pointed=None):
     if isinstance(data, dict):
         if "regions" not in data:
             raise RegionListError('input object lacks a "regions" field')
+        if "num_pointed" not in data and num_pointed is None:
+            raise RegionListError('input object lacks a "num_pointed" field')
         regions = data["regions"]
         np_ = data.get("num_pointed", num_pointed)
         nm = data.get("name", name)
     elif isinstance(data, (list, tuple)):
+        if num_pointed is None:
+            raise RegionListError(
+                'a bare region list has no num_pointed; use the object form '
+                '{"num_pointed": N, "regions": [...]}')
         regions, np_, nm = data, num_pointed, name
     else:
         raise RegionListError("input is neither an object nor a region list")
-    if np_ is None:
-        raise RegionListError("num_pointed missing (not in input, not supplied)")
     return make_region_list(regions, np_, nm if nm is not None else "diagram")
 
 

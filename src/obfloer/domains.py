@@ -46,7 +46,10 @@ The calculator exposes:
     compiled straight-line kernel that each pair calls with its
     connecting domain and that returns the domains themselves
     (linalg.PolytopeScan).  Regions with no periodic row are a sign check
-    before any scan; every domain found is checked;
+    before any scan; every domain found is checked.  No program path
+    calls these two (the index-1 table runs the scan itself): they serve
+    the tests' oracles and perfbench's tracer until ROADMAP item 4 moves
+    them out;
   * maslov_index, j_plus, domain_type: index, count of crossing-pair
     switches, and the (J+, chi, b, g) shape of the underlying curve, its
     boundary circles read off the two generators' permutations; all

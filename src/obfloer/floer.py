@@ -61,20 +61,21 @@ class SplitDifferential:
 
 @dataclass(frozen=True)
 class CanonicalPiece:
-    """The distinguished generator xi, its class, and the two levels
-    C0 (xi's) and C1 (one above) with their members."""
+    """The distinguished generator's piece of its class: the members of
+    its level C0 and of the level C1 above, the generator as the bit x of
+    C0, the maps C1 -> C0 (hat, J+ = 0, J+ = 2), and the class's div and
+    Chern numbers."""
 
-    xi: int
-    class_index: int
-    lv0: int
-    lv1: int
     c0: tuple
     c1: tuple
+    x: int
+    maps: tuple
+    div: int
+    chern: tuple
 
 
 @dataclass(frozen=True)
 class HomologyResult:
-    class_index: int
     div: int
     ranks: tuple  # (level, rank) pairs
     total: int
@@ -399,7 +400,7 @@ class NiceComplex:
                                  "level %s" % (r, class_index, g))
             ranks.append((g, r))
             total += r
-        return HomologyResult(class_index, sd.div, tuple(ranks), total)
+        return HomologyResult(sd.div, tuple(ranks), total)
 
     # -- the distinguished class --------------------------------------------
 
@@ -409,48 +410,39 @@ class NiceComplex:
         ci = self.table.class_of[xi]
         lv0 = self.table.gradings[ci][xi]
         lv1 = self.table.step(ci, lv0, 1)
-        basis = self.build_boundary(ci).basis
-        return CanonicalPiece(xi, ci, lv0, lv1, basis[lv0], basis.get(lv1, ()))
-
-    def sort_canonical_spinc(self):
-        """(C0, C1): the distinguished generator's level and the one above."""
-        return self._canonical.c0, self._canonical.c1
-
-    def _canonical_maps(self):
-        cp = self._canonical
-        sd = self.build_boundary(cp.class_index)
-        pos = cp.c0.index(cp.xi)
-        if cp.lv1 in sd.d_hat:
-            maps = (sd.d_hat[cp.lv1], sd.d0[cp.lv1], sd.d1[cp.lv1])
-        else:
-            maps = tuple(F2Map([], len(cp.c0)) for _ in range(3))
+        sd = self.build_boundary(ci)
+        c0 = sd.basis[lv0]
+        pos = c0.index(xi)
         # the distinguished generator must be a cycle
-        if cp.lv0 in sd.d_hat and sd.d_hat[cp.lv0].cols[pos]:
+        if lv0 in sd.d_hat and sd.d_hat[lv0].cols[pos]:
             raise NotOpenBookError(
                 "distinguished generator has nonzero boundary; the "
                 "diagram does not come from an open book")
-        return 1 << pos, maps, sd
+        if lv1 in sd.d_hat:
+            maps = (sd.d_hat[lv1], sd.d0[lv1], sd.d1[lv1])
+        else:
+            maps = tuple(F2Map([], len(c0)) for _ in range(3))
+        return CanonicalPiece(c0, sd.basis.get(lv1, ()), 1 << pos, maps,
+                              sd.div, self.table.chern[xi])
 
     def check_contact_class(self):
-        x, (m_hat, _, _), _ = self._canonical_maps()
-        return "zero" if m_hat.solve(x) is not None else "nonzero"
+        cp = self._canonical
+        return "zero" if cp.maps[0].solve(cp.x) is not None else "nonzero"
 
     def compute_order(self):
         contact = self.check_contact_class()
-        x, (_, m0, m1), sd = self._canonical_maps()
         cp = self._canonical
-        core = order_from_split(m0, m1, x)
+        core = order_from_split(cp.maps[1], cp.maps[2], cp.x)
         if core.value is not None:
             cert = tuple(tuple(cp.c1[t] for t in _bits(b))
                          for b in core.certificate)
         else:
             cert = ()
         res = OrderResult(core.value, cert, core.reason, core.m,
-                          graded_mod=sd.div)
+                          graded_mod=cp.div)
         # a vanishing contact class in the torsion setting must have
         # finite order
-        if (contact == "zero" and sd.div == 0
-                and not any(self.table.chern[cp.xi])):
+        if contact == "zero" and cp.div == 0 and not any(cp.chern):
             if res.value is None:
                 raise FloerError(
                     "zero contact class with finite-order obstruction missing")

@@ -73,11 +73,8 @@ class IntSolver:
     """Prepared solver for M x = b over ZZ: echelonize once, solve many b."""
 
     def __init__(self, mat, ncols=None):
-        self.nrows = len(mat)
-        if ncols is None:
-            ncols = len(mat[0]) if self.nrows else 0
-        self.ncols = ncols
         self.hcols, self.ucols, self.pivots = _column_echelon(mat, ncols)
+        self.ncols = len(self.ucols)
         # per pivot: its row and entry, and the nonzero entries of its
         # columns of H and U
         self._piv = [
@@ -241,9 +238,6 @@ class F2Subspace:
 
     def __eq__(self, other):
         return isinstance(other, F2Subspace) and self.basis == other.basis
-
-    def __hash__(self):
-        return hash(frozenset(self.basis.items()))
 
 
 class F2Quotient:

@@ -215,8 +215,9 @@ def test_known_manifold_values():
     assert nc.check_contact_class() == "nonzero"
     res = nc.compute_order()
     assert res.value is None
-    x, (_, m0, m1), _ = nc._canonical_maps()
-    assert _oracle_order(m0.cols, m1.cols, m0.ncols, x) is None
+    cp = nc._canonical
+    _, m0, m1 = cp.maps
+    assert _oracle_order(m0.cols, m1.cols, m0.ncols, cp.x) is None
     assert time.monotonic() - t0 < 10.0
 
     # overtwisted: rank 1 but the distinguished cycle is already a boundary
@@ -229,8 +230,9 @@ def test_known_manifold_values():
     assert nc.check_contact_class() == "zero"
     res = nc.compute_order()
     assert res.value == 0
-    x, (_, m0, m1), _ = nc._canonical_maps()
-    assert _oracle_order(m0.cols, m1.cols, m0.ncols, x) == 0
+    cp = nc._canonical
+    _, m0, m1 = cp.maps
+    assert _oracle_order(m0.cols, m1.cols, m0.ncols, cp.x) == 0
     assert time.monotonic() - t0 < 10.0
 
     # two-bigon pair: both arrows carry two domains, so everything survives
@@ -317,10 +319,12 @@ def test_structural_identities():
 
         if not from_open_book:
             continue
-        x, (m_hat, _, _), _ = nc._canonical_maps()  # raises if not a cycle
+        cp = nc._canonical  # raises if not a cycle
         contact = nc.check_contact_class()
         xi = nc.diagram.contact_generator().index
         ci = nc.table.class_of[xi]
+        assert (cp.div, cp.chern) == (nc.table.div[ci], nc.table.chern[xi])
+        assert cp.c0[cp.x.bit_length() - 1] == xi
         torsion = nc.table.div[ci] == 0 and all(
             c == 0 for c in nc.table.chern[xi])
         if contact == "zero" and torsion:

@@ -40,7 +40,7 @@ def _runs(metric, base, change):
 
 def _lines(metric, spec, base, change):
     lines = summarize(metric, spec, _runs(metric, base, change))
-    assert len(lines) == 5
+    assert len(lines) == 7
     assert lines[1] == "    base   " + " ".join("%.4f" % v for v in base)
     assert lines[2] == "    change " + " ".join("%.4f" % v for v in change)
     return lines
@@ -144,6 +144,26 @@ def test_gain_rule_needs_nine_in_ten_and_the_base_spread():
     # ties count for neither side
     assert _gain("latency_p50_s", P50, base, base).startswith(
         "    gain rule not met: better in 0 of 10")
+
+
+def test_ratios_split_by_which_side_ran_first():
+    # even pairs ran the base first, odd pairs the change
+    base = [30.0, 33.0] * 5
+    change = [27.0, 30.0] * 5
+    lines = _lines("requests_per_s", RPS, base, change)
+    assert lines[5] == (
+        "    change/base, base first: 0.9000 0.9000 0.9000 0.9000 0.9000 "
+        "(median 0.9000, range 0.9000-0.9000)")
+    assert lines[6].startswith("    change/base, change first: 0.9091 ")
+    assert lines[6].endswith("(median 0.9091, range 0.9091-0.9091)")
+    lines = _lines("requests_per_s", RPS, [1.0, 2.0, 4.0], [1.5, 1.0, 2.0])
+    assert lines[5].startswith("    change/base, base first: 1.5000 0.5000 ")
+    assert lines[6].startswith("    change/base, change first: 0.5000 ")
+    # one pair: nothing ran change first
+    lines = summarize("latency_p50_s", P50, _runs("latency_p50_s", [2.0], [3.0]))
+    assert lines[5] == ("    change/base, base first: 1.5000 "
+                        "(median 1.5000, range 1.5000-1.5000)")
+    assert lines[6] == "    change/base, change first: (no pairs)"
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

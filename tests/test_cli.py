@@ -156,6 +156,22 @@ def test_regions_not_a_list_is_bad_input(tmp_path, capsys):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("text,msg", [
+    ('{"regions": [[0, 1], [1, 0]]}',
+     'input object lacks a "num_pointed" field'),
+    ("[[0, 1], [1, 0]]", "a bare region list has no num_pointed; use the "
+     'object form {"num_pointed": N, "regions": [...]}'),
+], ids=["object", "bare-list"])
+def test_missing_num_pointed_is_bad_input(tmp_path, capsys, text, msg):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    dest = tmp_path / "out"
+    rc, out, err = run(capsys, "analyze", "--input", bad, "--out-dir", dest)
+    assert (rc, out) == (2, "")
+    assert err == "error: %s\n" % msg
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("value", ['"x"', "[1]", "1.7"])
 def test_analyze_non_integer_num_pointed(tmp_path, capsys, value):
     bad = tmp_path / "bad.json"
@@ -458,6 +474,11 @@ def test_contact_non_open_book_is_refused(tmp_path, capsys):
     assert rc == 3
     assert "refused: distinguished generator has nonzero boundary" in err
     assert not (tmp_path / "s3_wiggle_nice_contact.json").exists()
+    rc, _, err = run(capsys, "order", "--input", tmp_path / "s3_wiggle_nice.json",
+                     "--out-dir", tmp_path)
+    assert rc == 3
+    assert "refused: distinguished generator has nonzero boundary" in err
+    assert not (tmp_path / "s3_wiggle_nice_order.json").exists()
 
 
 # -- plot ---------------------------------------------------------------------

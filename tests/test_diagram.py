@@ -51,9 +51,21 @@ def test_parse_json_object():
 
 
 def test_parse_bare_list_needs_num_pointed():
-    with pytest.raises(RegionListError):
+    with pytest.raises(RegionListError, match="use the object form"):
         parse_region_list("[[0,0,0,0]]")
     rl = parse_region_list("[[0,0,0,0]]", name="t", num_pointed=1)
+    assert rl.num_pointed == 1
+
+
+def test_parse_object_without_num_pointed():
+    text = '{"name": "t", "regions": [[0,0,0,0]]}'
+    with pytest.raises(RegionListError) as info:
+        parse_region_list(text)
+    assert str(info.value) == 'input object lacks a "num_pointed" field'
+    # a caller-supplied value fills the gap; the input's own value wins
+    assert parse_region_list(text, num_pointed=1).num_pointed == 1
+    rl = parse_region_list('{"num_pointed": 1, "regions": [[0,1],[1,0]]}',
+                           num_pointed=2)
     assert rl.num_pointed == 1
 
 

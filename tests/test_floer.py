@@ -531,7 +531,7 @@ def test_order_jsonable_shapes():
 
 
 def test_contact_tight(nc_tight):
-    assert nc_tight.sort_canonical_spinc() == ((0,), ())
+    assert (nc_tight._canonical.c0, nc_tight._canonical.c1) == ((0,), ())
     assert nc_tight.check_contact_class() == "nonzero"
     res = nc_tight.compute_order()
     assert res.value is None and res.reason == "K = C1"
@@ -539,7 +539,7 @@ def test_contact_tight(nc_tight):
 
 
 def test_contact_overtwisted(nc_ot):
-    assert nc_ot.sort_canonical_spinc() == ((0,), (1, 2))
+    assert (nc_ot._canonical.c0, nc_ot._canonical.c1) == ((0,), (1, 2))
     assert nc_ot.check_contact_class() == "zero"
     res = nc_ot.compute_order()
     assert res.value == 0
@@ -563,7 +563,7 @@ def test_contact_twopoint(nc_twopoint):
 
 
 def test_contact_r6(nc_r6):
-    assert nc_r6.sort_canonical_spinc() == (
+    assert (nc_r6._canonical.c0, nc_r6._canonical.c1) == (
         (0, 15, 18, 32, 58), (19, 26, 39, 40, 64)
     )
     assert nc_r6.check_contact_class() == "zero"
@@ -593,6 +593,8 @@ def test_contact_noncycle_raises(nc_wiggle, nc_s1s2):
     for nc in (nc_wiggle, nc_s1s2):
         with pytest.raises(FloerError, match="nonzero boundary"):
             nc.check_contact_class()
+        with pytest.raises(FloerError, match="nonzero boundary"):
+            nc.compute_order()
 
 
 # -- DOT output -------------------------------------------------------------------

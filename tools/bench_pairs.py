@@ -26,7 +26,10 @@ wider than the bound times the base median, unless every change run beats
 every base run.  A last line says whether the gain rule holds: the change
 better in at least 9 of 10 pairs (ties count for neither side), and the
 median moved in the better direction by more than the base quartile
-spread.  The temporary trees are removed at the end.  Only the standard
+spread.  Two more lines give the change/base ratio of each pair, split by
+which side ran first (the base in even pairs, the change in odd ones),
+with each group's median and range, so that an order effect shows.  The
+temporary trees are removed at the end.  Only the standard
 library is used, and nothing is written in the working tree.
 """
 
@@ -116,6 +119,15 @@ def summarize(metric, spec, runs):
     holds = wins >= need and step > q3 - q1
     raw_b = statistics.median(b[1].get(metric, float("nan")) for b, _ in runs)
     raw_h = statistics.median(h[1].get(metric, float("nan")) for _, h in runs)
+    # main runs the base first in even pairs and the change first in odd ones
+    ratios = [h / b if b else float("nan") for b, h in zip(base, head)]
+    split = []
+    for first, group in (("base", ratios[0::2]), ("change", ratios[1::2])):
+        spread = ("median %.4f, range %.4f-%.4f" % (
+            statistics.median(group), min(group), max(group))
+            if group else "no pairs")
+        split.append("    change/base, %s first: %s" % (
+            first, " ".join(["%.4f" % r for r in group] + ["(%s)" % spread])))
     return [
         "  %s (%s, %s is better, bound %.2f)" % (
             metric, spec["unit"], spec["better"], spec["bound"]),
@@ -128,7 +140,7 @@ def summarize(metric, spec, runs):
         "%.4f in the better direction (need more than %.4f)" % (
             "holds" if holds else "not met", wins, len(runs), need, step,
             q3 - q1),
-    ]
+    ] + split
 
 
 def main(argv=None):
