@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 from ast import literal_eval
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 
 class DiagramError(Exception):
@@ -66,17 +66,12 @@ class ContactConventionError(ValidationError):
 # region lists
 
 
-@dataclass(frozen=True)
-class RegionList:
+class RegionList(NamedTuple):
     """Raw input: regions as tuples of circuits, pointed regions last."""
 
     name: str
     num_pointed: int
     regions: tuple  # tuple of regions; region = tuple of circuits; circuit = tuple of ints
-
-    @property
-    def num_regions(self):
-        return len(self.regions)
 
 
 def _normalize_region(raw, idx):
@@ -471,8 +466,7 @@ class HeegaardDiagram:
         return g
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One point per alpha curve; permutation[i] = beta index of points[i]."""
 
     points: tuple

@@ -69,7 +69,6 @@ The calculator exposes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import mul, sub
@@ -91,8 +90,7 @@ class AdmissibilityError(DomainError):
     """A positive-domain scan hit an unbounded polytope."""
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Integer chain of regions from generator index src to dst.
 
     coeffs has one entry per unpointed region for a hat domain (pointed
@@ -105,8 +103,7 @@ class Domain:
     dst: int
 
 
-@dataclass(frozen=True)
-class DiffEntry:
+class DiffEntry(NamedTuple):
     """All index-1 positive domains from generator src to dst.
 
     count is the raw number of domains; j0/j2 split it by J+ value.  The
@@ -174,8 +171,7 @@ def _level(g, div):
     return g % div if div else g
 
 
-@dataclass(frozen=True)
-class SpinCTable:
+class SpinCTable(NamedTuple):
     """Partition of generators by SpinC class, with grading data.
 
     classes: tuple of tuples of generator indices (each ascending).

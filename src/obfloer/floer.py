@@ -18,8 +18,8 @@ raises NotOpenBookError: the input does not come from an open book.
 Vectors over GF(2) are bit-packed ints throughout (see linalg).
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .domains import DiffEntry
 from .linalg import F2Map, F2Quotient, F2Subspace, affine_meets_subspace
@@ -41,8 +41,7 @@ class NotOpenBookError(FloerError):
 # result containers
 
 
-@dataclass
-class SplitDifferential:
+class SplitDifferential(NamedTuple):
     """Level-to-level boundary maps of one class, split by J+.
 
     Maps are keyed by source level and go one level down (cyclically when
@@ -59,12 +58,12 @@ class SplitDifferential:
     d1: dict
 
 
-@dataclass(frozen=True)
-class CanonicalPiece:
+class CanonicalPiece(NamedTuple):
     """The distinguished generator's piece of its class: the members of
     its level C0 and of the level C1 above, the generator as the bit x of
-    C0, the maps C1 -> C0 (hat, J+ = 0, J+ = 2), and the class's div and
-    Chern numbers."""
+    C0, the maps C1 -> C0 (hat, J+ = 0, J+ = 2), the class's div and
+    Chern numbers, and the contact class: "zero" when the hat map hits x,
+    else "nonzero"."""
 
     c0: tuple
     c1: tuple
@@ -72,17 +71,16 @@ class CanonicalPiece:
     maps: tuple
     div: int
     chern: tuple
+    contact: str
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     div: int
     ranks: tuple  # (level, rank) pairs
     total: int
 
 
-@dataclass(frozen=True)
-class ReducedPair:
+class ReducedPair(NamedTuple):
     """C1/K -> C0/d0(K) data from the minimal-subspace reduction."""
 
     K: F2Subspace
@@ -92,8 +90,7 @@ class ReducedPair:
     cod: F2Quotient
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     """Spectral order: value None means infinity, with a reason and the
     stabilization index m when the delta iteration ran.  Finite values
     carry certificate chains (tuples of C1 generator indices at the
@@ -422,15 +419,15 @@ class NiceComplex:
             maps = (sd.d_hat[lv1], sd.d0[lv1], sd.d1[lv1])
         else:
             maps = tuple(F2Map([], len(c0)) for _ in range(3))
-        return CanonicalPiece(c0, sd.basis.get(lv1, ()), 1 << pos, maps,
-                              sd.div, self.table.chern[xi])
+        x = 1 << pos
+        contact = "zero" if maps[0].solve(x) is not None else "nonzero"
+        return CanonicalPiece(c0, sd.basis.get(lv1, ()), x, maps, sd.div,
+                              self.table.chern[xi], contact)
 
     def check_contact_class(self):
-        cp = self._canonical
-        return "zero" if cp.maps[0].solve(cp.x) is not None else "nonzero"
+        return self._canonical.contact
 
     def compute_order(self):
-        contact = self.check_contact_class()
         cp = self._canonical
         core = order_from_split(cp.maps[1], cp.maps[2], cp.x)
         if core.value is not None:
@@ -442,7 +439,7 @@ class NiceComplex:
                           graded_mod=cp.div)
         # a vanishing contact class in the torsion setting must have
         # finite order
-        if contact == "zero" and cp.div == 0 and not any(cp.chern):
+        if cp.contact == "zero" and cp.div == 0 and not any(cp.chern):
             if res.value is None:
                 raise FloerError(
                     "zero contact class with finite-order obstruction missing")

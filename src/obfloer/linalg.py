@@ -16,7 +16,6 @@ Three independent toolboxes, all exact (no floating point anywhere):
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import gcd
 
 
@@ -350,25 +349,27 @@ def lattice_points(rows, nvars):
     prefix = []
 
     def scan(level):
+        # each row bounds t by num / a: from below by its ceiling when
+        # a > 0, from above by its floor when a < 0
         lo = hi = None
         for row in chain[level + 1]:
             a = row[level]
             if a == 0:
                 continue
-            rhs = Fraction(
-                -(row[-1] + sum(row[j] * prefix[j] for j in range(level))), a
-            )
+            num = -(row[-1] + sum(row[j] * prefix[j] for j in range(level)))
             if a > 0:
-                if lo is None or rhs > lo:
-                    lo = rhs
+                b = -(-num // a)
+                if lo is None or b > lo:
+                    lo = b
             else:
-                if hi is None or rhs < hi:
-                    hi = rhs
+                b = num // a
+                if hi is None or b < hi:
+                    hi = b
         if lo is None or hi is None:
             raise UnboundedPolytopeError(
                 "coordinate t_%d is unbounded over a feasible prefix" % level
             )
-        for t in range(math.ceil(lo), math.floor(hi) + 1):
+        for t in range(lo, hi + 1):
             prefix.append(t)
             if level + 1 == nvars:
                 out.append(tuple(prefix))

@@ -23,7 +23,7 @@ have them.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     build_diagram,
@@ -52,16 +52,14 @@ class StuckError(NicefyError):
         self.region_list = region_list
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     region: int        # index of the bad region the move attacked
     entry_arc: tuple   # directed beta arc the finger pushed, as a point pair
     crossings: int     # number of alpha arcs the finger crossed
     points_after: int  # intersection points once the move finished
 
 
-@dataclass(frozen=True)
-class NiceResult:
+class NiceResult(NamedTuple):
     diagram: "HeegaardDiagram"
     moves: tuple
 
@@ -135,8 +133,7 @@ def _targets(regs, q, rc):
             if _partner(regs, (rc[a + 1], rc[a]), 0, q) is not None)
 
 
-@dataclass(frozen=True)
-class _Push:
+class _Push(NamedTuple):
     z_before: int      # index of the invaded region before the splice
     z_after: int       # its index once [left, right, tip] replace the source
     z_was_bigon: bool

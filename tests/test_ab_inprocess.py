@@ -30,6 +30,8 @@ def test_one_pipeline_round_against_head_is_identical():
          "--rounds", "1"], cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("pipeline-r6: 15 requests identical; ")
+    assert proc.stdout.splitlines()[-1].startswith(
+        "import obfloer.cli: median base ")
 
 
 def test_a_differing_stdout_stops_the_tool(tmp_path, capsys):

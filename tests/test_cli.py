@@ -13,11 +13,12 @@ import runpy
 
 import pytest
 
-from obfloer import domains
+from obfloer import domains, floer
 from obfloer.cli import main
 from obfloer.diagram import build_diagram, parse_region_list, region_list_to_json
 from obfloer.domains import DomainCalculator
 from obfloer.floer import NiceComplex
+from obfloer.linalg import F2Map
 
 from conftest import FIXTURES, pushed_variant, run_cli_optimized
 
@@ -704,6 +705,29 @@ def test_one_engine_per_request(tmp_path, capsys, monkeypatch, args,
                    "--out-dir", tmp_path, *rest)
     assert rc == 0
     assert (built[NiceComplex], built[DomainCalculator]) == (complexes, calcs)
+
+
+def test_one_contact_class_solve_per_request(tmp_path, capsys, monkeypatch):
+    # the contact class is one GF(2) solve of the distinguished piece's hat
+    # map for its bit x; `all` reports it from contact and from order
+    pieces, solves = [], []
+    make_piece, solve = floer.CanonicalPiece, F2Map.solve
+
+    def recorded_piece(*a):
+        pieces.append(make_piece(*a))
+        return pieces[-1]
+
+    def recorded_solve(self, b):
+        solves.append((self, b))
+        return solve(self, b)
+
+    monkeypatch.setattr(floer, "CanonicalPiece", recorded_piece)
+    monkeypatch.setattr(F2Map, "solve", recorded_solve)
+    rc, _, _ = run(capsys, "all", "--input", fix("s3_overtwisted"),
+                   "--out-dir", tmp_path)
+    assert rc == 0
+    cp, = pieces
+    assert sum(m is cp.maps[0] and b == cp.x for m, b in solves) == 1
 
 
 # -- demos --------------------------------------------------------------------

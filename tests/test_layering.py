@@ -2,12 +2,16 @@
 
 obfloer/__init__.py lists its modules bottom-up; each module's relative
 imports must name modules listed before it.  __init__ and __main__ sit
-above every listed module.
+above every listed module.  Importing the command line loads none of the
+standard library's record and number machinery.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import obfloer
 
@@ -45,3 +49,20 @@ def test_each_module_imports_only_modules_below_it():
             if order.index(name) >= rank:
                 inversions.append((path.stem, name))
     assert inversions == []
+
+
+def test_cli_import_loads_no_record_or_number_machinery():
+    # compare sys.modules around the import, so that a module the
+    # interpreter's startup already loaded does not count
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import obfloer.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "obfloer.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "fractions", "decimal"} == set()

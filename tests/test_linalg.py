@@ -303,6 +303,22 @@ def test_lattice_points_unbounded():
         lattice_points([(1, 0, 0), (-1, 0, 1), (-1, 1, 0)], 2)
 
 
+def test_lattice_points_fractional_bounds():
+    # -7/2 <= x <= 5/3: a ceiling from 2x + 7 >= 0, a floor from -3x + 5 >= 0
+    assert lattice_points([(2, 7), (-3, 5)], 1) == [(-3,), (-2,), (-1,),
+                                                      (0,), (1,)]
+    # -20/3 <= x <= -5/2: both bounds negative, where floor is not truncation
+    assert lattice_points([(3, 20), (-2, -5)], 1) == [(-6,), (-5,), (-4,),
+                                                       (-3,)]
+    # -1 <= x <= 1 and (x - 1)/2 <= y <= (x + 2)/3: y's bounds depend on x
+    rows = [(1, 0, 1), (-1, 0, 1), (-1, 2, 1), (1, -3, 2)]
+    assert lattice_points(rows, 2) == [(-1, -1), (-1, 0), (0, 0), (1, 0),
+                                       (1, 1)]
+    # x >= 1/2 with nothing above
+    with pytest.raises(UnboundedPolytopeError):
+        lattice_points([(2, -1)], 1)
+
+
 def test_lattice_points_vs_bruteforce():
     rng = random.Random(808)
     for _ in range(100):

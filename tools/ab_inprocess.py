@@ -17,7 +17,11 @@ to round.  Both sides read the same input file and write
 into the same, emptied, output directory; their exit codes, stdout and
 artifact bytes must be equal, or the tool stops with exit 1.  It prints
 each side's median CPU time per request (``time.process_time``) and their
-ratio, working tree over base.
+ratio, working tree over base.  Last it times ``import obfloer.cli`` of
+each side by ``python3 -X importtime`` in fresh interpreters that write
+no bytecode (-B), 10 per side, alternating which side goes first,
+and prints the median cumulative import time of each side, their ratio,
+and in how many pairs the working tree imported faster.
 
 This sizes a change quickly and checks that its outputs are unchanged; it
 makes no benchmark claim: both sides share one process on one host, and
@@ -29,8 +33,10 @@ import argparse
 import contextlib
 import importlib
 import io
+import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -47,6 +53,7 @@ from obfloer import cli  # noqa: E402
 
 BASE_PACKAGE = "obfloer_base"
 SEED = 1  # perfbench/run.py's default seed
+IMPORT_PAIRS = 10
 
 
 def load_base(ref, dest):
@@ -55,6 +62,30 @@ def load_base(ref, dest):
     (dest / "src" / "obfloer").rename(dest / BASE_PACKAGE)
     sys.path.insert(0, str(dest))
     return importlib.import_module(BASE_PACKAGE + ".cli")
+
+
+def import_us(path, package):
+    """Cumulative microseconds of ``import package.cli`` in a fresh
+    interpreter with only path on PYTHONPATH, writing no bytecode."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-X", "importtime", "-c",
+         "import %s.cli" % package],
+        env=dict(os.environ, PYTHONPATH=str(path)), capture_output=True,
+        text=True, check=True)
+    line, = (ln for ln in proc.stderr.splitlines()
+             if ln.endswith("| %s.cli" % package))
+    return int(line.split("|")[1])
+
+
+def compare_imports(sides):
+    """IMPORT_PAIRS alternating import timings of each side, given as
+    {side: (path, package)}: {side: [microseconds, ...]}."""
+    us = {side: [] for side in sides}
+    order = list(sides)
+    for n in range(IMPORT_PAIRS):
+        for side in (order[::-1] if n % 2 else order):
+            us[side].append(import_us(*sides[side]))
+    return us
 
 
 def request(main, command, input_path, out_dir):
@@ -127,6 +158,13 @@ def main(argv=None):
             print("%s: %d requests identical; median CPU per request "
                   "base %.4f s, working tree %.4f s, ratio %.3f"
                   % (name, len(cpu["head"]), base, head, head / base))
+        us = compare_imports({"base": (tmp / "tree", BASE_PACKAGE),
+                              "head": (ROOT / "src", "obfloer")})
+        base, head = (statistics.median(us[s]) for s in ("base", "head"))
+        won = sum(h < b for b, h in zip(us["base"], us["head"]))
+        print("import obfloer.cli: median base %.1f ms, working tree %.1f ms, "
+              "ratio %.3f; working tree faster in %d of %d pairs"
+              % (base / 1000, head / 1000, head / base, won, IMPORT_PAIRS))
     return 0
 
 
