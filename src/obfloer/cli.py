@@ -425,9 +425,6 @@ def _run(cfg):
         print("error: %s" % e, file=sys.stderr)
         return e.code
     except StuckError as e:
-        if e.region_list is None:
-            print("refused: %s" % e, file=sys.stderr)
-            return EXIT_REFUSED
         try:
             p = out.write(_safe_name(dg.name) + "_stuck.json",
                           region_list_to_json(e.region_list) + "\n")

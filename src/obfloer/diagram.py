@@ -272,7 +272,7 @@ class HeegaardDiagram:
 
       name, regions, num_pointed, num_points, num_regions, num_unpointed
       alpha_curves, beta_curves : tuples of cyclic point tuples
-      alpha_of, beta_of         : point -> curve index
+      beta_of                   : point -> beta curve index
       contact_points            : per alpha curve, its minimum point
       contact_aligned           : whether beta indexing realizes the identity
                                   permutation on the contact tuple
@@ -357,15 +357,10 @@ class HeegaardDiagram:
         self.nice = all(len(reg) == 1 and len(reg[0]) in (2, 4)
                         for reg in rl.regions[:self.num_unpointed])
 
-        self.alpha_of = [None] * self.num_points
         self.beta_of = [None] * self.num_points
-        for i, cyc in enumerate(self.alpha_curves):
-            for p in cyc:
-                self.alpha_of[p] = i
         for i, cyc in enumerate(self.beta_curves):
             for p in cyc:
                 self.beta_of[p] = i
-        self.alpha_of = tuple(self.alpha_of)
         self.beta_of = tuple(self.beta_of)
 
         self.euler_measures_2 = tuple(euler_measure_2(reg) for reg in rl.regions)
@@ -444,25 +439,26 @@ class HeegaardDiagram:
         self._generators = tuple(out)
         return self._generators
 
-    def generator_by_points(self, points):
-        key = tuple(sorted(points))
-        for g in self.generators():
-            if tuple(sorted(g.points)) == key:
-                return g
-        raise DiagramError("no generator with points %r" % (list(points),))
-
     def contact_generator(self):
-        """The distinguished generator made of the per-curve minimum points."""
+        """The distinguished generator made of the per-curve minimum points.
+
+        It is generator 0: generators() searches each curve's sorted points
+        depth-first, so it yields point tuples in lexicographic order, and
+        the tuple of per-curve minima is the least of all such tuples.
+        Alignment makes that tuple a generator, with the beta curves indexed
+        so that its permutation is the identity.
+        """
         if not self.contact_aligned:
             raise ContactConventionError(
                 "per-curve minima do not hit all beta curves; labels violate "
                 "the distinguished-point convention"
             )
-        g = self.generator_by_points(self.contact_points)
-        if g.permutation != tuple(range(self.num_curves)):
+        g = self.generators()[0]
+        if (g.points != self.contact_points
+                or g.permutation != tuple(range(self.num_curves))):
             raise DiagramError(
-                "beta curves are not indexed by the contact generator: %r"
-                % (g.permutation,))
+                "beta curves are not indexed by the contact generator: "
+                "generator 0 is %s with permutation %r" % (g, g.permutation))
         return g
 
 

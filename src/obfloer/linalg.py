@@ -247,7 +247,6 @@ class F2Quotient:
     """
 
     def __init__(self, n, sub):
-        self.n = n
         self.sub = sub
         self.free = [i for i in range(n) if i not in sub.basis]
 

@@ -47,7 +47,7 @@ class StuckError(NicefyError):
     Carries the intermediate region list for post-mortem inspection.
     """
 
-    def __init__(self, msg, region_list=None):
+    def __init__(self, msg, region_list):
         super().__init__(msg)
         self.region_list = region_list
 

@@ -48,11 +48,13 @@ def test_ingest_r22_diagram():
     dg = load_diagram("r22")
     assert dg.num_regions == 22 and dg.num_points == 26
     assert sum(dg.euler_measures_2) == -8 == 2 * (22 - 26)
-    n_alpha = len(set(dg.alpha_of))
+    alpha_of = {p: a for a, cyc in enumerate(dg.alpha_curves) for p in cyc}
+    assert sorted(alpha_of) == list(range(dg.num_points))
+    n_alpha = len(set(alpha_of.values()))
     n_beta = len(set(dg.beta_of))
     assert n_alpha == n_beta == dg.num_curves
     for a in range(dg.num_curves):
-        pts = [p for p in range(dg.num_points) if dg.alpha_of[p] == a]
+        pts = [p for p in range(dg.num_points) if alpha_of[p] == a]
         assert dg.contact_points[a] == min(pts)
     assert time.monotonic() - t0 < 1.0
 

@@ -392,9 +392,14 @@ def test_refusal_and_internal_error_under_python_O(tmp_path):
     assert "internal error: order 0 certificate fails" in err
     rc, _, err = run_cli_optimized(
         ["contact", "--input", fix("s3_overtwisted"), "--out-dir", tmp_path],
-        prelude="from obfloer.diagram import Generator, HeegaardDiagram\n"
-                "HeegaardDiagram.generator_by_points = "
-                "lambda self, pts: Generator(tuple(pts), (1,), 0)")
+        # the calculator enumerates first and gets the true generators; the
+        # contact lookup then reads a generator 0 with a wrong permutation
+        prelude="from obfloer.diagram import HeegaardDiagram\n"
+                "_gens = HeegaardDiagram.generators\n"
+                "HeegaardDiagram.generators = lambda self: _gens(self) "
+                "if self._generators is None else "
+                "(self._generators[0]._replace(permutation=(1,)),) "
+                "+ self._generators[1:]")
     assert rc == 4
     assert "internal error: beta curves are not indexed" in err
     # make_nice's postconditions: relabeling back to the raw input leaves

@@ -27,6 +27,7 @@ from conftest import (
     FIXTURES,
     box_scan,
     load_diagram,
+    load_region_list,
     pm4_sum,
     pushed_variant,
     run_cli_optimized,
@@ -452,6 +453,42 @@ def test_chern_constant_on_classes(calc_r22):
     t = calc_r22.spinc_partition()
     for members in t.classes:
         assert len({t.chern[i] for i in members}) == 1
+
+
+def _relabeled_r22_nice(seed):
+    """r22's nice diagram with its points relabeled and its unpointed
+    regions reordered at random, the pointed regions kept last."""
+    dg = make_nice(build_diagram(load_region_list("r22"))).diagram
+    rng = random.Random(seed)
+    perm = list(range(dg.num_points))
+    rng.shuffle(perm)
+    regs = [[[perm[p] for p in cir] for cir in reg] for reg in dg.regions]
+    unpointed = regs[:dg.num_unpointed]
+    rng.shuffle(unpointed)
+    return build_diagram(make_region_list(
+        unpointed + regs[dg.num_unpointed:], dg.num_pointed, name="r22nice"))
+
+
+def test_chern_numbers_read_the_unpointed_lattice_echelon():
+    # the calculator echelons the unpointed lattice on its own, apart from
+    # its one system, and homology prints Chern numbers over that basis.
+    # On this relabeling the system's kernel, cut to the unpointed regions,
+    # is another basis of the same lattice and gives other numbers.
+    dg = _relabeled_r22_nice(154)
+    assert dg.nice and dg.contact_aligned
+    calc = DomainCalculator(dg)
+    nu = dg.num_unpointed
+    own = IntSolver(dg.boundary_mat, ncols=nu).kernel_basis()
+    one = [v[:nu] for v in calc._system.kernel_basis()]
+    t = calc.spinc_partition()
+    moved = 0
+    for members in t.classes:
+        g = members[0]
+        chern = tuple(calc.maslov_index(Domain(tuple(P), g, g)) for P in own)
+        assert t.chern[g] == chern
+        moved += chern != tuple(calc.maslov_index(Domain(tuple(P), g, g))
+                                for P in one)
+    assert moved > 0
 
 
 def test_grading_formula_random_pairs(calc_r22):
