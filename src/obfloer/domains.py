@@ -63,8 +63,8 @@ The calculator exposes:
     chains and reads each domain's 4 mu and 2e once, for the index-1
     filter, its J+ (for the DiffEntry's split) and, on a nice diagram,
     the Sarkar-Wang shape check its near-pair rule rests on.  The
-    SpinCTable owns the cyclic level rule (step, levels) that all of them
-    read.
+    SpinCTable owns the level layout, built once: each class's levels,
+    each generator's column (slot) in its level, and the cyclic step.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _level(g, div):
 
 
 class SpinCTable(NamedTuple):
-    """Partition of generators by SpinC class, with grading data.
+    """Partition of generators by SpinC class, with gradings and levels.
 
     classes: tuple of tuples of generator indices (each ascending).
     class_of: generator index -> class index.
@@ -180,6 +180,10 @@ class SpinCTable(NamedTuple):
     div: per class, nonnegative grading indeterminacy (0 = ZZ-graded).
     gradings: per class, dict generator index -> relative grading
       (reduced mod div when div > 0; the lowest-index member sits at 0).
+    levels: per class, dict level -> its members ascending, top level
+      first: all div levels when graded mod div, else the span of the
+      gradings, empty levels included.
+    slot: per generator, its index in its level's members: its column.
     """
 
     classes: tuple
@@ -187,21 +191,12 @@ class SpinCTable(NamedTuple):
     chern: tuple
     div: tuple
     gradings: tuple
+    levels: tuple
+    slot: tuple
 
     def step(self, k, g, n):
         """The level n steps above level g in class k (cyclic mod div)."""
         return _level(g + n, self.div[k])
-
-    def levels(self, k):
-        """Level -> its members ascending, for every level of class k, top
-        level first: all div levels when graded mod div, else the span of
-        the gradings, empty levels included."""
-        gr, d = self.gradings[k], self.div[k]
-        top, bot = (d - 1, 0) if d else (max(gr.values()), min(gr.values()))
-        at = {g: [] for g in range(top, bot - 1, -1)}
-        for i in self.classes[k]:
-            at[gr[i]].append(i)
-        return {g: tuple(m) for g, m in at.items()}
 
 
 class DomainCalculator:
@@ -452,8 +447,8 @@ class DomainCalculator:
                 raise DomainError("Chern split a class")
 
         npt = self.dg.num_pointed
-        divs = []
-        gradings = []
+        divs, gradings, levels = [], [], []
+        slot = [None] * len(self._gens)
         for members in classes:
             qa, ua = pots[members[0]].chain, pots[members[0]].index
             d = 0
@@ -469,6 +464,12 @@ class DomainCalculator:
                 val = -(mu - 2 * sum(dom[-npt:]))  # gr(anchor) - gr(i)
                 gr[i] = _level(val, d)
             gradings.append(gr)
+            hi, lo = (d, 0) if d else (max(gr.values()) + 1, min(gr.values()))
+            at = {g: [] for g in reversed(range(lo, hi))}
+            for i in members:
+                slot[i] = len(at[gr[i]])
+                at[gr[i]].append(i)
+            levels.append({g: tuple(m) for g, m in at.items()})
 
         self._spinc = SpinCTable(
             classes=classes,
@@ -476,6 +477,8 @@ class DomainCalculator:
             chern=chern,
             div=tuple(divs),
             gradings=tuple(gradings),
+            levels=tuple(levels),
+            slot=tuple(slot),
         )
         return self._spinc
 
@@ -500,7 +503,7 @@ class DomainCalculator:
             return self._index1[class_index]
         members = table.classes[class_index]
         gr = table.gradings[class_index]
-        at_level = table.levels(class_index)
+        at_level = table.levels[class_index]
         nice = self.dg.nice
         points = ({i: frozenset(self._gens[i].points) for i in members}
                   if nice else None)

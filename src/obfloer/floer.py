@@ -6,8 +6,8 @@ the GF(2) differential is a finite count.  The count splits by J+ into
 d0 (J+ = 0) and d1 (J+ = 2); both are differentials and they commute.
 Nothing here scans or reads a domain: each pair's count and J+ split is
 a DiffEntry of the calculator's index-1 table, which also checks that
-every domain is a bigon or rectangle with J+ in {0, 2}.  Levels and
-their cyclic steps come from the calculator's SpinCTable.
+every domain is a bigon or rectangle with J+ in {0, 2}.  Levels, each
+generator's column and the cyclic steps come from the SpinCTable.
 The contact class lives in the distinguished generator's class, and its
 spectral order is computed from the two-level piece C1 -> C0 anchored
 there (one cached CanonicalPiece): reduce by the minimal subspace K, run
@@ -45,14 +45,11 @@ class SplitDifferential(NamedTuple):
     """Level-to-level boundary maps of one class, split by J+.
 
     Maps are keyed by source level and go one level down (cyclically when
-    div > 0).  basis[g] lists the generator indices at level g; columns of
-    the maps follow that order on both sides.
+    the class is graded mod div).  Column and bit t at level g stand for
+    the member at slot t of the SpinCTable's levels[class_index][g].
     """
 
     class_index: int
-    div: int
-    levels: tuple
-    basis: dict
     d_hat: dict
     d0: dict
     d1: dict
@@ -334,31 +331,29 @@ class NiceComplex:
         if class_index in self._split:
             return self._split[class_index]
         gr = self.table.gradings[class_index]
-        basis = self.table.levels(class_index)
-        levels = tuple(basis)
-        pos = {i: n for g in levels for n, i in enumerate(basis[g])}
-        # column pos[i] of a level's maps has bit pos[j] set for each entry
-        # i -> j of odd count in that J+ flavor
-        c0 = {g: [0] * len(basis[g]) for g in levels}
-        c1 = {g: [0] * len(basis[g]) for g in levels}
+        levels = self.table.levels[class_index]
+        slot = self.table.slot
+        # column slot[i] of a level's maps has bit slot[j] set for each
+        # entry i -> j of odd count in that J+ flavor
+        c0 = {g: [0] * len(m) for g, m in levels.items()}
+        c1 = {g: [0] * len(m) for g, m in levels.items()}
         for i, j in self.calc.index1_differentials(class_index):
             e = self.find_diffs(i, j)
             if e.j0 % 2:
-                c0[gr[i]][pos[i]] |= 1 << pos[j]
+                c0[gr[i]][slot[i]] |= 1 << slot[j]
             if e.j2 % 2:
-                c1[gr[i]][pos[i]] |= 1 << pos[j]
+                c1[gr[i]][slot[i]] |= 1 << slot[j]
 
         d_hat, d0, d1 = {}, {}, {}
         for s in levels:
             t = self.table.step(class_index, s, -1)
-            if t not in basis:
+            if t not in levels:
                 continue
-            n = len(basis[t])
+            n = len(levels[t])
             d_hat[s] = F2Map([a ^ b for a, b in zip(c0[s], c1[s])], n)
             d0[s], d1[s] = F2Map(c0[s], n), F2Map(c1[s], n)
 
-        sd = SplitDifferential(class_index, self.table.div[class_index], levels,
-                               basis, d_hat, d0, d1)
+        sd = SplitDifferential(class_index, d_hat, d0, d1)
         self._assert_identities(sd)
         self._split[class_index] = sd
         return sd
@@ -366,9 +361,9 @@ class NiceComplex:
     def _assert_identities(self, sd):
         # composites across consecutive levels vanish flavor by flavor,
         # and the two flavors commute
-        for s in sd.levels:
+        for s in sd.d_hat:
             t = self.table.step(sd.class_index, s, -1)
-            if s not in sd.d_hat or t not in sd.d_hat:
+            if t not in sd.d_hat:
                 continue
             for maps in (sd.d_hat, sd.d0, sd.d1):
                 if not _is_zero(_compose(maps[t], maps[s])):
@@ -387,29 +382,29 @@ class NiceComplex:
         sd = self.build_boundary(class_index)
         ranks = []
         total = 0
-        for g in sd.levels:
+        for g, members in self.table.levels[class_index].items():
             src = self.table.step(class_index, g, 1)
             out_rank = sd.d_hat[g].rank() if g in sd.d_hat else 0
             in_rank = sd.d_hat[src].rank() if src in sd.d_hat else 0
-            r = len(sd.basis[g]) - out_rank - in_rank
+            r = len(members) - out_rank - in_rank
             if r < 0:
                 raise FloerError("negative homology rank %d in class %d at "
                                  "level %s" % (r, class_index, g))
             ranks.append((g, r))
             total += r
-        return HomologyResult(sd.div, tuple(ranks), total)
+        return HomologyResult(self.table.div[class_index], tuple(ranks), total)
 
     # -- the distinguished class --------------------------------------------
 
     @cached_property
     def _canonical(self):
+        t = self.table
         xi = self.diagram.contact_generator().index
-        ci = self.table.class_of[xi]
-        lv0 = self.table.gradings[ci][xi]
-        lv1 = self.table.step(ci, lv0, 1)
+        ci = t.class_of[xi]
+        lv0 = t.gradings[ci][xi]
+        lv1 = t.step(ci, lv0, 1)
         sd = self.build_boundary(ci)
-        c0 = sd.basis[lv0]
-        pos = c0.index(xi)
+        c0, pos = t.levels[ci][lv0], t.slot[xi]
         # the distinguished generator must be a cycle
         if lv0 in sd.d_hat and sd.d_hat[lv0].cols[pos]:
             raise NotOpenBookError(
@@ -421,8 +416,8 @@ class NiceComplex:
             maps = tuple(F2Map([], len(c0)) for _ in range(3))
         x = 1 << pos
         contact = "zero" if maps[0].solve(x) is not None else "nonzero"
-        return CanonicalPiece(c0, sd.basis.get(lv1, ()), x, maps, sd.div,
-                              self.table.chern[xi], contact)
+        return CanonicalPiece(c0, t.levels[ci].get(lv1, ()), x, maps,
+                              t.div[ci], t.chern[xi], contact)
 
     def check_contact_class(self):
         return self._canonical.contact

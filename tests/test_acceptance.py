@@ -154,8 +154,9 @@ def test_nicefication_contract():
     nc = NiceComplex(DomainCalculator(fin))
     for ci in range(len(nc.table.classes)):
         sd = nc.build_boundary(ci)
-        for g in sd.levels:
-            nxt = (g - 1) % sd.div if sd.div else g - 1
+        div = nc.table.div[ci]
+        for g in nc.table.levels[ci]:
+            nxt = (g - 1) % div if div else g - 1
             if g in sd.d_hat and nxt in sd.d_hat:
                 for c in sd.d_hat[g].cols:
                     assert _apply(sd.d_hat[nxt].cols, c) == 0
@@ -303,8 +304,9 @@ def test_structural_identities():
     for nc, from_open_book in complexes:
         for ci in range(len(nc.table.classes)):
             sd = nc.build_boundary(ci)
-            for g in sd.levels:
-                nxt = (g - 1) % sd.div if sd.div else g - 1
+            div = nc.table.div[ci]
+            for g in nc.table.levels[ci]:
+                nxt = (g - 1) % div if div else g - 1
                 if g not in sd.d_hat or nxt not in sd.d_hat:
                     continue
                 for name_map, m in (("hat", sd.d_hat), ("d0", sd.d0),

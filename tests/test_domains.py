@@ -449,6 +449,70 @@ def test_spinc_small_fixtures(calc_ot, calc_l21, calc_sphere4):
     assert set(t.gradings[0].values()) == {0, 1}
 
 
+def check_level_layout(table):
+    """SpinCTable.levels and .slot against their definition, from the
+    classes and gradings alone; returns how many classes are graded mod
+    div.  Each member sits once, at its grading, ascending within its
+    level and at its slot; levels run top first, one step down each, and
+    every step from a level lands on a level, bar the two ends of a
+    ZZ-graded class's span."""
+    for k, members in enumerate(table.classes):
+        gr, d, lv = table.gradings[k], table.div[k], table.levels[k]
+        placed = [i for m in lv.values() for i in m]
+        assert sorted(placed) == list(members), k
+        for g, m in lv.items():
+            assert list(m) == sorted(m), (k, g)
+            assert all(gr[i] == g for i in m), (k, g)
+            assert [table.slot[i] for i in m] == list(range(len(m))), (k, g)
+        keys = list(lv)
+        assert keys == [table.step(k, keys[0], -n)
+                        for n in range(len(keys))], k
+        if d:
+            assert sorted(keys) == list(range(d)), k
+        else:
+            assert (keys[0], keys[-1]) == (max(gr.values()),
+                                           min(gr.values())), k
+        for g in keys:
+            for n in (1, -1):
+                s = table.step(k, g, n)
+                assert s in lv or (not d and s in (keys[0] + 1,
+                                                   keys[-1] - 1)), (k, g, n)
+    return sum(1 for d in table.div if d)
+
+
+# every fixture's nice diagram, the seeded variants whose nice diagrams
+# other tests use, and the seeded raw variants above
+LAYOUT_INPUTS = (
+    [(p.stem, 0, 0, True) for p in sorted(FIXTURES.glob("*.json"))]
+    + [(n, 1, s, True) for n, s in (("octa2", 1), ("r6", 1), ("s1s2", 1),
+                                    ("s1s2", 2), ("s1s2", 3),
+                                    ("s3_wiggle", 3))]
+    + [("r6", 2, s, True) for s in (1, 2, 9, 13)]
+    + [(n, k, s, False) for n, k, s in READOUT_INPUTS if k]
+)
+
+
+@pytest.mark.parametrize("name,pushes,seed,nice", LAYOUT_INPUTS)
+def test_level_layout_follows_gradings(name, pushes, seed, nice):
+    dg = build_diagram(pushed_variant(name, pushes, seed))
+    if nice:
+        dg = make_nice(dg).diagram
+    cyclic = check_level_layout(DomainCalculator(dg).spinc_partition())
+    if name == "s1s2":
+        assert cyclic > 0
+
+
+def test_level_layout_check_rejects_descending_members():
+    table = DomainCalculator(load_diagram("r6")).spinc_partition()
+    check_level_layout(table)
+    k, g = next((k, g) for k, lv in enumerate(table.levels)
+                for g, m in lv.items() if len(m) > 1)
+    levels = [dict(lv) for lv in table.levels]
+    levels[k][g] = levels[k][g][::-1]
+    with pytest.raises(AssertionError):
+        check_level_layout(table._replace(levels=tuple(levels)))
+
+
 def test_chern_constant_on_classes(calc_r22):
     t = calc_r22.spinc_partition()
     for members in t.classes:

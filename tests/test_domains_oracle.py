@@ -95,7 +95,8 @@ def oracle_spinc_partition(calc):
 def oracle_grading(calc, members, conn):
     """The SpinCTable of these classes, each member i reached from its
     class's first member by the full chain conn[i], with every Chern
-    number, divisor and grading summed point by point."""
+    number, divisor and grading summed point by point, and each level's
+    members found by sorting the class on its gradings."""
     dg = calc.dg
     full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
     gens = dg.generators()
@@ -123,12 +124,23 @@ def oracle_grading(calc, members, conn):
             val = -(mu - 2 * sum(c[-npt:]))
             gr[i] = val % d if d else val
         gradings.append(gr)
+    levels, slot = [], [None] * len(gens)
+    for mem, gr, d in zip(members, gradings, divs):
+        span = range(d) if d else range(min(gr.values()),
+                                         max(gr.values()) + 1)
+        levels.append({g: tuple(sorted(i for i in mem if gr[i] == g))
+                       for g in sorted(span, reverse=True)})
+        for m in levels[-1].values():
+            for n, i in enumerate(m):
+                slot[i] = n
     return SpinCTable(
         classes=tuple(tuple(m) for m in members),
         class_of=tuple(class_of),
         chern=chern,
         div=tuple(divs),
         gradings=tuple(gradings),
+        levels=tuple(levels),
+        slot=tuple(slot),
     )
 
 
@@ -303,8 +315,11 @@ def check_tables(calc, want=None):
     table = calc.spinc_partition()
     if want is None:
         want = oracle_spinc_partition(calc)
-    for field in ("classes", "class_of", "chern", "div", "gradings"):
+    for field in ("classes", "class_of", "chern", "div", "gradings",
+                  "slot"):
         assert getattr(table, field) == getattr(want, field), field
+    assert ([list(lv.items()) for lv in table.levels]
+            == [list(lv.items()) for lv in want.levels])
     entries = 0
     for k in range(len(table.classes)):
         try:

@@ -239,8 +239,8 @@ def test_inadmissible_diagram_fails_at_boundary_build(sphere4):
 
 def test_split_structure_ot(nc_ot):
     sd = nc_ot.build_boundary(0)
-    assert sd.levels == (1, 0)
-    assert sd.basis == {1: (1, 2), 0: (0,)}
+    assert tuple(nc_ot.table.levels[0]) == (1, 0)
+    assert nc_ot.table.levels[0] == {1: (1, 2), 0: (0,)}
     assert sd.d_hat[1].cols == [1, 1]
     assert sd.d0[1].cols == [1, 1]
     assert sd.d1[1].cols == [0, 0]
@@ -249,8 +249,8 @@ def test_split_structure_ot(nc_ot):
 
 def test_split_structure_r6_contact_class(nc_r6):
     sd = nc_r6.build_boundary(0)
-    assert sd.levels == (1, 0, -1)
-    assert sd.basis == {
+    assert tuple(nc_r6.table.levels[0]) == (1, 0, -1)
+    assert nc_r6.table.levels[0] == {
         1: (19, 26, 39, 40, 64),
         0: (0, 15, 18, 32, 58),
         -1: (14,),
@@ -281,15 +281,16 @@ def test_boundary_identities_all_fixtures(request):
                 sd = nc.build_boundary(ci)
             except AdmissibilityError:
                 pytest.fail("admissible fixture raised on class %d" % ci)
-            for s in sd.levels:
-                t = (s - 1) % sd.div if sd.div else s - 1
+            div, levels = nc.table.div[ci], nc.table.levels[ci]
+            for s in levels:
+                t = (s - 1) % div if div else s - 1
                 if s not in sd.d_hat or t not in sd.d_hat:
                     continue
                 for maps in (sd.d_hat, sd.d0, sd.d1):
                     for col in maps[s].cols:
                         assert _apply(maps[t].cols, col) == 0
                 # commuting flavors, checked on unit vectors
-                for pos in range(len(sd.basis[s])):
+                for pos in range(len(levels[s])):
                     u = 1 << pos
                     lhs = _apply(sd.d0[t].cols, _apply(sd.d1[s].cols, u))
                     rhs = _apply(sd.d1[t].cols, _apply(sd.d0[s].cols, u))
@@ -336,8 +337,8 @@ def test_cyclic_grading_class_s1s2(nc_s1s2):
     assert t.chern == ((0,), (0,), (-2,), (-2,), (0,), (0,))
     assert t.gradings[1] == {2: 0, 3: 1}
     sd = nc_s1s2.build_boundary(1)
-    assert sd.levels == (1, 0)
-    assert sd.basis == {1: (3,), 0: (2,)}
+    assert tuple(t.levels[1]) == (1, 0)
+    assert t.levels[1] == {1: (3,), 0: (2,)}
     # both level maps exist in a cyclically graded class
     assert sd.d_hat[1].cols == [1]
     assert sd.d_hat[0].cols == [0]
@@ -574,7 +575,7 @@ def test_contact_r6(nc_r6):
     assert res.as_jsonable() == {"order": 1, "certificate": [[64], [39]]}
     # the certificate chains satisfy the zigzag equations on the real maps
     sd = nc_r6.build_boundary(0)
-    c1 = sd.basis[1]
+    c1 = nc_r6.table.levels[0][1]
     chains = tuple(sum(1 << c1.index(g) for g in part)
                    for part in res.certificate)
     assert check_zigzag(sd.d0[1], sd.d1[1], 1, chains)
