@@ -23,7 +23,6 @@ a generator, has the identity permutation.
 from __future__ import annotations
 
 import json
-from ast import literal_eval
 from collections import Counter
 from itertools import islice
 from typing import NamedTuple
@@ -126,39 +125,32 @@ def make_region_list(regions, num_pointed, name="diagram"):
     return RegionList(name=str(name), num_pointed=num_pointed, regions=regs)
 
 
-def parse_region_list(text, name=None, num_pointed=None):
-    """Read a region list from text.
+def parse_region_list(text, name=None):
+    """Read a region list from the JSON object
+    {"name": ..., "num_pointed": ..., "regions": ...}; "name" is optional.
 
-    Accepted forms: a JSON object {"name":..., "num_pointed":..., "regions":...},
-    or a bare bracketed list of regions (JSON or python literal syntax), in
-    which case `num_pointed` must be supplied by the caller.
+    Nothing else is accepted: text the JSON decoder rejects is refused with
+    the decoder's own message, and a bare list of regions is refused because
+    it does not say how many regions are pointed.
     """
     try:
-        try:
-            data = json.loads(text)
-        except ValueError:
-            data = literal_eval(text.strip())
-    except (ValueError, SyntaxError) as exc:
+        data = json.loads(text)
+    except ValueError as exc:
         raise RegionListError("cannot parse input: %s" % exc) from None
     except RecursionError:
         raise RegionListError("cannot parse input: nested too deeply") from None
-    if isinstance(data, dict):
-        if "regions" not in data:
-            raise RegionListError('input object lacks a "regions" field')
-        if "num_pointed" not in data and num_pointed is None:
-            raise RegionListError('input object lacks a "num_pointed" field')
-        regions = data["regions"]
-        np_ = data.get("num_pointed", num_pointed)
-        nm = data.get("name", name)
-    elif isinstance(data, (list, tuple)):
-        if num_pointed is None:
-            raise RegionListError(
-                'a bare region list has no num_pointed; use the object form '
-                '{"num_pointed": N, "regions": [...]}')
-        regions, np_, nm = data, num_pointed, name
-    else:
+    if isinstance(data, list):
+        raise RegionListError(
+            'a bare region list has no num_pointed; use the object form '
+            '{"num_pointed": N, "regions": [...]}')
+    if not isinstance(data, dict):
         raise RegionListError("input is neither an object nor a region list")
-    return make_region_list(regions, np_, nm if nm is not None else "diagram")
+    for field in ("regions", "num_pointed"):
+        if field not in data:
+            raise RegionListError('input object lacks a "%s" field' % field)
+    nm = data.get("name", name)
+    return make_region_list(data["regions"], data["num_pointed"],
+                            nm if nm is not None else "diagram")
 
 
 def region_list_to_json(rl):
@@ -497,5 +489,5 @@ def build_diagram(region_list):
     return HeegaardDiagram(region_list)
 
 
-def diagram_from_json(text, name=None, num_pointed=None):
-    return build_diagram(parse_region_list(text, name, num_pointed))
+def diagram_from_json(text, name=None):
+    return build_diagram(parse_region_list(text, name))

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from operator import mul, sub
+from operator import mul, ne, sub
 from typing import NamedTuple
 
 from .diagram import cycle_count
@@ -505,16 +505,17 @@ class DomainCalculator:
         gr = table.gradings[class_index]
         at_level = table.levels[class_index]
         nice = self.dg.nice
-        points = ({i: frozenset(self._gens[i].points) for i in members}
-                  if nice else None)
+        gens = self._gens
         pots = self._potentials
         out = {}
         for i in members:
             px = pots[i]
             for j in at_level.get(table.step(class_index, gr[i], -1), ()):
                 py = pots[j]
+                # point k lies on alpha curve k: count the points that move
                 if (i == j or px.pointed != py.pointed
-                        or (nice and len(points[i] ^ points[j]) > 4)):
+                        or (nice and sum(map(ne, gens[i].points,
+                                             gens[j].points)) > 2)):
                     continue
                 doms, jps = [], []
                 base = tuple(map(sub, py.hat, px.hat))

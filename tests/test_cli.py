@@ -80,6 +80,17 @@ def test_analyze_malformed_leaves_no_outputs(tmp_path, capsys):
     assert not dest.exists()
 
 
+def test_json_typo_is_bad_input_with_the_decoder_position(tmp_path, capsys):
+    typo = tmp_path / "typo.json"
+    typo.write_text('{"num_pointed": 1, "regions": [[0, 1] [1, 0]]}')
+    dest = tmp_path / "out"
+    rc, out, err = run(capsys, "analyze", "--input", typo, "--out-dir", dest)
+    assert (rc, out) == (2, "")
+    assert err == ("error: cannot parse input: Expecting ',' delimiter: "
+                   "line 1 column 39 (char 38)\n")
+    assert not dest.exists()
+
+
 def test_analyze_unparseable_and_missing(tmp_path, capsys):
     junk = tmp_path / "junk.json"
     junk.write_text("not json {{")

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -55,8 +56,6 @@ def test_parse_json_object():
 def test_parse_bare_list_needs_num_pointed():
     with pytest.raises(RegionListError, match="use the object form"):
         parse_region_list("[[0,0,0,0]]")
-    rl = parse_region_list("[[0,0,0,0]]", name="t", num_pointed=1)
-    assert rl.num_pointed == 1
 
 
 def test_parse_object_without_num_pointed():
@@ -64,18 +63,36 @@ def test_parse_object_without_num_pointed():
     with pytest.raises(RegionListError) as info:
         parse_region_list(text)
     assert str(info.value) == 'input object lacks a "num_pointed" field'
-    # a caller-supplied value fills the gap; the input's own value wins
-    assert parse_region_list(text, num_pointed=1).num_pointed == 1
-    rl = parse_region_list('{"num_pointed": 1, "regions": [[0,1],[1,0]]}',
-                           num_pointed=2)
-    assert rl.num_pointed == 1
 
 
-def test_parse_tolerant_literal():
-    # python-style literal with trailing comma and newlines
-    text = "[\n  [1,0,3,2],\n  [0,1,2,3],\n]"
-    rl = parse_region_list(text, num_pointed=1)
-    assert len(rl.regions) == 2
+@pytest.mark.parametrize("text,msg", [
+    ('{"num_pointed": 1}', 'input object lacks a "regions" field'),
+    ("5", "input is neither an object nor a region list"),
+    ('"[[0, 1], [1, 0]]"', "input is neither an object nor a region list"),
+], ids=["no-regions", "number", "string"])
+def test_parse_refuses_what_is_not_the_object(text, msg):
+    with pytest.raises(RegionListError) as info:
+        parse_region_list(text)
+    assert str(info.value) == msg
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="no integer digit limit in this interpreter")
+def test_parse_integer_past_the_digit_limit_is_a_parse_error():
+    # the decoder raises a plain ValueError here, not a JSONDecodeError
+    text = '{"num_pointed": 1, "regions": [[0, %s]]}' % ("1" * 5000)
+    with pytest.raises(RegionListError, match="^cannot parse input: "):
+        parse_region_list(text)
+
+
+def test_parse_python_literal_gets_the_decoder_message():
+    # a python-style literal (trailing comma) is not JSON: the decoder's
+    # own message, with its line and column, is the refusal
+    text = '{"num_pointed": 1, "regions": [\n  [1,0,3,2],\n  [0,1,2,3],\n]}'
+    with pytest.raises(RegionListError) as info:
+        parse_region_list(text)
+    assert str(info.value) == ("cannot parse input: Expecting value: "
+                               "line 4 column 1 (char 58)")
 
 
 def test_parse_nested_circuits():
@@ -117,9 +134,9 @@ def test_parse_rejects_regions_that_are_not_a_list(regions, kind):
     '{"num_pointed": 1, "regions": %s}' % ("[" * 3000 + "]" * 3000),
 ], ids=["brackets", "regions"])
 def test_parse_rejects_deep_nesting(text):
-    # both parsers recurse per level; too deep is bad input, not a crash
+    # the decoder recurses per level; too deep is bad input, not a crash
     with pytest.raises(RegionListError, match="nested too deeply"):
-        parse_region_list(text, num_pointed=1)
+        parse_region_list(text)
 
 
 def test_huge_label_error_is_short():

@@ -65,4 +65,5 @@ def test_cli_import_loads_no_record_or_number_machinery():
                           capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.split())
     assert "obfloer.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "fractions", "decimal"} == set()
+    assert loaded & {"ast", "dataclasses", "inspect", "fractions",
+                     "decimal"} == set()
