@@ -13,11 +13,11 @@ ones carrying a basepoint) sit at the END of the list.  A multiply connected
 region may be written in nested form as a list of circuits; its interior is
 assumed planar (genus 0), which is all the corner data can express.
 
-Everything global is reconstructed from this: the curves are the cycles of
-the arc adjacency multigraphs, each point lies on one alpha and one beta
-curve, and the distinguished point of each alpha curve is its lowest label.
-Beta curves are re-indexed so the tuple of distinguished points, when it is
-a generator, has the identity permutation.
+Everything global is reconstructed from this: each curve is walked from its
+least point along the arc ends of its points, each point lies on one alpha
+and one beta curve, and the distinguished point of each alpha curve is its
+lowest label.  Beta curves are re-indexed so the tuple of distinguished
+points, when it is a generator, has the identity permutation.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def make_region_list(regions, num_pointed, name="diagram"):
 
 def parse_region_list(text, name=None):
     """Read a region list from the JSON object
-    {"name": ..., "num_pointed": ..., "regions": ...}; "name" is optional.
+    {"name": ..., "num_pointed": ..., "regions": ...}; "name" is optional
+    and, when present, a string.
 
     Nothing else is accepted: text the JSON decoder rejects is refused with
     the decoder's own message, and a bare list of regions is refused because
@@ -149,6 +150,9 @@ def parse_region_list(text, name=None):
         if field not in data:
             raise RegionListError('input object lacks a "%s" field' % field)
     nm = data.get("name", name)
+    if "name" in data and not isinstance(nm, str):
+        raise RegionListError(
+            '"name" must be a string, got %s' % type(nm).__name__)
     return make_region_list(data["regions"], data["num_pointed"],
                             nm if nm is not None else "diagram")
 
@@ -172,10 +176,7 @@ def euler_measure_2(region):
     """Twice the Euler measure of a region: 2*chi - corners/2, chi = 2 - #circuits.
 
     A disk with 2n corners gives 2 - n: bigon 1, square 0, hexagon -1.
-    Accepts a flat circuit or a tuple of circuits.
     """
-    if region and isinstance(region[0], int):
-        region = (region,)
     corners = sum(len(c) for c in region)
     return 2 * (2 - len(region)) - corners // 2
 
@@ -193,64 +194,45 @@ def circuit_beta_arcs(circuit):
 # curve reconstruction
 
 
-def _undirected_edges(directed, kind):
-    """Turn a reversal-symmetric multiset of directed arcs (checked by the
-    caller) into undirected edge instances; each surface arc appears twice
-    directed, once undirected."""
-    edges = []
-    for (a, b), cnt in sorted(directed.items()):
-        if a < b:
-            edges.extend([(a, b)] * cnt)
-        elif a == b:
-            if cnt % 2:
-                raise ArcPairingError(
-                    "%s arc (%d,%d) has an odd number of sides" % (kind, a, a)
-                )
-            edges.extend([(a, a)] * (cnt // 2))
-    return edges
+def _arc_ends(directed, kind, num_points):
+    """Each point's far arc ends.  The multiset of directed arc sides is
+    reversal-symmetric (checked by the caller), so every side a->b lists b
+    at a, and a loop at a lists a once per side, twice per arc."""
+    odd = [a for (a, b), cnt in directed.items() if a == b and cnt % 2]
+    if odd:
+        raise ArcPairingError(
+            "%s arc (%d,%d) has an odd number of sides" % (kind, min(odd), min(odd))
+        )
+    ends = [[] for _ in range(num_points)]
+    for (a, b), cnt in directed.items():
+        ends[a].extend([b] * cnt)
+    return ends
 
 
-def _cycles_of_multigraph(edges, points):
-    """Cycle decomposition of a 2-regular multigraph; returns point tuples."""
-    incident = {p: [] for p in points}
-    for eid, (a, b) in enumerate(edges):
-        incident[a].append(eid)
-        if b != a:
-            incident[b].append(eid)
-        else:
-            incident[a].append(eid)
-    for p in points:
-        if len(incident[p]) != 2:
-            raise ArcPairingError(
-                "point %d has %d arc ends, want 2" % (p, len(incident[p]))
-            )
-    used = [False] * len(edges)
-    cycles = []
-    for start in points:
-        if all(used[e] for e in incident[start]):
+def _curves(ends):
+    """Walk each curve from its least point toward its smaller neighbour,
+    each time taking the end it did not arrive from; curves come out in
+    order of their least points."""
+    # every corner ends one alpha and one beta side, so after the degree,
+    # pairing and loop checks this cannot fire; it guards the walk, which
+    # unpacks exactly two ends per point
+    for p, e in enumerate(ends):
+        if len(e) != 2:
+            raise ArcPairingError("point %d has %d arc ends, want 2" % (p, len(e)))
+    seen = [False] * len(ends)
+    curves = []
+    for start in range(len(ends)):
+        if seen[start]:
             continue
-        walk = [start]
-        cur = start
-        while True:
-            eid = next(e for e in incident[cur] if not used[e])
-            used[eid] = True
-            a, b = edges[eid]
-            cur = b if cur == a else a
-            if cur == start:
-                break
+        walk, prev, cur = [start], start, min(ends[start])
+        while cur != start:
             walk.append(cur)
-        cycles.append(walk)
-    return cycles
-
-
-def _canonical_cycle(walk):
-    """Rotate a cycle of distinct points to start at its minimum, taking the
-    direction whose second element is smaller."""
-    i = walk.index(min(walk))
-    walk = walk[i:] + walk[:i]
-    if len(walk) > 2 and walk[-1] < walk[1]:
-        walk = [walk[0]] + walk[:0:-1]
-    return tuple(walk)
+            a, b = ends[cur]
+            prev, cur = cur, b if a == prev else a
+        for p in walk:
+            seen[p] = True
+        curves.append(tuple(walk))
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -310,42 +292,23 @@ class HeegaardDiagram:
                         % (kind, a, b, cnt, directed.get((b, a), 0))
                     )
 
-        pts = list(range(self.num_points))
-        a_edges = _undirected_edges(alpha_dir, "alpha")
-        b_edges = _undirected_edges(beta_dir, "beta")
-        a_cycles = sorted(
-            (_canonical_cycle(w) for w in _cycles_of_multigraph(a_edges, pts))
-        )
-        b_cycles = sorted(
-            (_canonical_cycle(w) for w in _cycles_of_multigraph(b_edges, pts))
-        )
-        if len(a_cycles) != len(b_cycles):
+        a_ends = _arc_ends(alpha_dir, "alpha", self.num_points)
+        b_ends = _arc_ends(beta_dir, "beta", self.num_points)
+        a_curves, b_curves = _curves(a_ends), _curves(b_ends)
+        if len(a_curves) != len(b_curves):
             raise CurveCountError(
-                "%d alpha curves vs %d beta curves" % (len(a_cycles), len(b_cycles))
+                "%d alpha curves vs %d beta curves" % (len(a_curves), len(b_curves))
             )
-        self.alpha_curves = tuple(a_cycles)
-        self.contact_points = tuple(c[0] for c in a_cycles)  # each starts at its min
+        self.alpha_curves = tuple(a_curves)
+        self.contact_points = tuple(c[0] for c in a_curves)  # each starts at its min
 
-        beta_of_prov = {}
-        for i, cyc in enumerate(b_cycles):
-            for p in cyc:
-                beta_of_prov[p] = i
         # index beta curves so the contact tuple, when a generator, is the identity
-        order = []
-        taken = set()
-        aligned = True
-        for cp in self.contact_points:
-            j = beta_of_prov[cp]
-            if j in taken:
-                aligned = False
-                break
-            taken.add(j)
-            order.append(j)
-        if aligned:
-            self.beta_curves = tuple(b_cycles[j] for j in order)
-        else:
-            self.beta_curves = tuple(b_cycles)
-        self.contact_aligned = aligned
+        beta_of_prov = {p: j for j, cyc in enumerate(b_curves) for p in cyc}
+        order = [beta_of_prov[cp] for cp in self.contact_points]
+        self.contact_aligned = len(set(order)) == len(order)
+        if not self.contact_aligned:
+            order = range(len(b_curves))
+        self.beta_curves = tuple(b_curves[j] for j in order)
         self.nice = all(len(reg) == 1 and len(reg[0]) in (2, 4)
                         for reg in rl.regions[:self.num_unpointed])
 

@@ -184,6 +184,24 @@ def test_missing_num_pointed_is_bad_input(tmp_path, capsys, text, msg):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("value,kind", [
+    ('["a", "/b"]', "list"), ("7", "int"), ("null", "NoneType"),
+    ("true", "bool"),
+])
+def test_name_that_is_not_a_string_is_bad_input(tmp_path, capsys, value,
+                                                 kind):
+    # the name becomes the artifact stem, so anything but a string is
+    # refused before a file is written
+    doc = json.loads(fix("s3_tight").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc)[:-1] + ', "name": %s}' % value)
+    dest = tmp_path / "out"
+    rc, out, err = run(capsys, "analyze", "--input", bad, "--out-dir", dest)
+    assert (rc, out) == (2, "")
+    assert err == 'error: "name" must be a string, got %s\n' % kind
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("value", ['"x"', "[1]", "1.7"])
 def test_analyze_non_integer_num_pointed(tmp_path, capsys, value):
     bad = tmp_path / "bad.json"

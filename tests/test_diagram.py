@@ -95,6 +95,25 @@ def test_parse_python_literal_gets_the_decoder_message():
                                "line 4 column 1 (char 58)")
 
 
+@pytest.mark.parametrize("value,kind", [
+    ('["a", "/b"]', "list"), ("7", "int"), ("null", "NoneType"),
+    ("false", "bool"), ("1.5", "float"),
+])
+def test_parse_refuses_a_name_that_is_not_a_string(value, kind):
+    text = '{"name": %s, "num_pointed": 1, "regions": [[0,0,0,0]]}' % value
+    with pytest.raises(RegionListError) as info:
+        parse_region_list(text, name="stem")
+    assert str(info.value) == '"name" must be a string, got ' + kind
+
+
+def test_parse_name_defaults():
+    text = '{"num_pointed": 1, "regions": [[0,0,0,0]]}'
+    assert parse_region_list(text).name == "diagram"
+    assert parse_region_list(text, name="stem").name == "stem"
+    named = '{"name": "", "num_pointed": 1, "regions": [[0,0,0,0]]}'
+    assert parse_region_list(named, name="stem").name == ""
+
+
 def test_parse_nested_circuits():
     rl = parse_region_list('{"num_pointed": 1, "regions": [[[0,1],[2,3]], [0,1,2,3]]}')
     assert rl.regions[0] == ((0, 1), (2, 3))
@@ -162,10 +181,10 @@ def test_region_list_roundtrip_json():
 
 
 def test_euler_measure_2_values():
-    assert euler_measure_2([5, 9]) == 1  # bigon
-    assert euler_measure_2([0, 1, 2, 3]) == 0  # square
-    assert euler_measure_2([3, 2, 5, 4, 1, 2, 8, 7]) == -2  # octagon
-    assert euler_measure_2([0, 1, 6, 17, 18, 19, 0, 5, 6, 7, 18, 25]) == -4
+    assert euler_measure_2(((5, 9),)) == 1  # bigon
+    assert euler_measure_2(((0, 1, 2, 3),)) == 0  # square
+    assert euler_measure_2(((3, 2, 5, 4, 1, 2, 8, 7),)) == -2  # octagon
+    assert euler_measure_2(((0, 1, 6, 17, 18, 19, 0, 5, 6, 7, 18, 25),)) == -4
     # annular region, two square circuits
     assert euler_measure_2([[1, 0, 1, 0], [2, 3, 2, 3]]) == -4
 
@@ -219,14 +238,24 @@ def test_two_bigons_fail_point_degree():
 
 def test_arc_pairing_error():
     # all four alpha arcs run 0->1 with no reversed sides
-    with pytest.raises(ArcPairingError):
+    with pytest.raises(ArcPairingError) as info:
         build_diagram(make_region_list([[0, 1, 0, 1], [0, 1, 0, 1]], 1))
+    assert str(info.value) == "alpha arc (0,1) occurs 4 times but reversed 0 times"
+
+
+def test_odd_loop_error():
+    # the alpha loop at 0 has one side only: its other side would be a
+    # second (0,0) arc
+    with pytest.raises(ArcPairingError) as info:
+        build_diagram(make_region_list([[0, 0, 1, 1], [0, 1, 1, 0]], 1))
+    assert str(info.value) == "alpha arc (0,0) has an odd number of sides"
 
 
 def test_curve_count_error():
     # two alpha loops but a single beta curve
-    with pytest.raises(CurveCountError):
+    with pytest.raises(CurveCountError) as info:
         build_diagram(make_region_list([[0, 0, 1, 1], [1, 1, 0, 0]], 1))
+    assert str(info.value) == "2 alpha curves vs 1 beta curves"
 
 
 def test_mass_parity_error():
@@ -239,6 +268,39 @@ def test_contact_convention_error(octa2):
     assert not octa2.contact_aligned
     with pytest.raises(ContactConventionError):
         octa2.contact_generator()
+
+
+# ---------------------------------------------------------------------------
+# curves, read against the arc sides of the circuits
+
+
+@pytest.mark.parametrize("name,pushes,seed", MEASURED)
+def test_curves_follow_the_arc_sides(name, pushes, seed):
+    d = build_diagram(pushed_variant(name, pushes, seed))
+    points = list(range(d.num_points))
+    for curves, arcs in ((d.alpha_curves, circuit_alpha_arcs),
+                         (d.beta_curves, circuit_beta_arcs)):
+        # the curves partition the points
+        assert sorted(p for cyc in curves for p in cyc) == points
+        # consecutive points, cyclically, are joined by an arc side
+        sides = {arc for reg in d.regions for cir in reg for arc in arcs(cir)}
+        for cyc in curves:
+            for i, p in enumerate(cyc):
+                assert (p, cyc[(i + 1) % len(cyc)]) in sides, (cyc, p)
+            # each starts at its least point, heading to its smaller
+            # neighbour
+            assert cyc[0] == min(cyc)
+            if len(cyc) >= 3:
+                assert cyc[1] < cyc[-1]
+        # in order of their least points
+        firsts = [cyc[0] for cyc in curves]
+        assert firsts == sorted(firsts)
+    assert d.contact_points == tuple(cyc[0] for cyc in d.alpha_curves)
+    for i, cyc in enumerate(d.beta_curves):
+        assert all(d.beta_of[p] == i for p in cyc)
+    if d.contact_aligned:
+        for i, cp in enumerate(d.contact_points):
+            assert cp in d.beta_curves[i]
 
 
 # ---------------------------------------------------------------------------
