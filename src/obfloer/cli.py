@@ -228,12 +228,11 @@ def cmd_homology(cfg, eng, out):
     total = 0
     for k in ks:
         hr = nc.compute_homology(k)
-        members = nc.table.classes[k]
         classes.append({
             "spinc": k,
             "div": hr.div,
-            "chern": list(nc.table.chern[members[0]]),
-            "generators": len(members),
+            "chern": list(nc.table.chern[k]),
+            "generators": len(nc.table.classes[k]),
             "ranks": [[g, r] for g, r in hr.ranks],
             "total": hr.total,
         })

@@ -14,7 +14,7 @@ generators sit in the same SpinC class and carry the relative grading.
 Both are a Domain, told apart by the length of their coefficients, and
 every method names generators by their index.
 
-The calculator keeps one integer system, echelonized once: the rows of
+The calculator's one integer system, echelonized once, holds the rows of
 boundary_mat, then one row per pointed region reading its coefficient.
 One reduction per generator (IntSolver.reduce, which builds the chain as
 it reduces) gives a canonical residue, whose whole is the generator's hat
@@ -23,7 +23,10 @@ whose unpointed part is its hat chain.  Two generators are joined by a
 hat (full) domain iff their hat (SpinC) keys agree, and the difference of
 their (hat) chains is then one.  No solve and no boundary check runs per
 pair: each potential is checked once, and a difference of two checked
-potentials has the right boundary by linearity.
+potentials has the right boundary by linearity.  A second echelon, of
+the boundary rows on the unpointed regions alone, names the periodic
+basis: the Chern numbers homology prints are read against it, and the
+positive-domain scan is compiled from it.
 
 The Maslov index mu(D) = n_x(D) + n_y(D) + e(D) (Lipshitz, Geom. Topol.
 10, 2006) is linear in D, so the same pass gives each generator g one
@@ -55,9 +58,10 @@ The calculator exposes:
     boundary circles read off the two generators' permutations; all
     read the two generators' index vectors;
   * spinc_partition / index1_differentials: SpinC classes (generators
-    grouped by SpinC key) with Chern numbers, divisibility, relative
-    gradings, and the candidate differentials (positive index-1 domains
-    between grading-adjacent generators), built one class at a time:
+    grouped by SpinC key) with Chern numbers and divisibility per class,
+    a relative grading (level) per generator, and the candidate
+    differentials (positive index-1 domains between grading-adjacent
+    generators, one DiffEntry per pair), built one class at a time:
     the only enumeration of them, which the Floer engine, the CLI and
     the plots read.  One pass per pair scans straight from the two hat
     chains and reads each domain's 4 mu and 2e once, for the index-1
@@ -104,14 +108,12 @@ class Domain(NamedTuple):
 
 
 class DiffEntry(NamedTuple):
-    """All index-1 positive domains from generator src to dst.
+    """All index-1 positive domains of the pair (src, dst) that keys it.
 
     count is the raw number of domains; j0/j2 split it by J+ value.  The
     differential coefficient is count mod 2.
     """
 
-    src: int
-    dst: int
     domains: tuple
     j0: int
     j2: int
@@ -119,10 +121,6 @@ class DiffEntry(NamedTuple):
     @property
     def count(self):
         return len(self.domains)
-
-    @property
-    def parity(self):
-        return self.count % 2
 
 
 class _Potential(NamedTuple):
@@ -175,14 +173,14 @@ class SpinCTable(NamedTuple):
     """Partition of generators by SpinC class, with gradings and levels.
 
     classes: tuple of tuples of generator indices (each ascending).
-    class_of: generator index -> class index.
-    chern: per generator, one integer per periodic basis element.
+    class_of: per generator, its class index.
+    chern: per class, one integer per periodic basis element.
     div: per class, nonnegative grading indeterminacy (0 = ZZ-graded).
-    gradings: per class, dict generator index -> relative grading
-      (reduced mod div when div > 0; the lowest-index member sits at 0).
+    level: per generator, its relative grading in its class (reduced mod
+      div when div > 0; the class's lowest-index member sits at 0).
     levels: per class, dict level -> its members ascending, top level
       first: all div levels when graded mod div, else the span of the
-      gradings, empty levels included.
+      members' levels, empty levels included.
     slot: per generator, its index in its level's members: its column.
     """
 
@@ -190,7 +188,7 @@ class SpinCTable(NamedTuple):
     class_of: tuple
     chern: tuple
     div: tuple
-    gradings: tuple
+    level: tuple
     levels: tuple
     slot: tuple
 
@@ -426,57 +424,49 @@ class DomainCalculator:
         """Partition generators by full-chain connectivity; grade each class."""
         if self._spinc is not None:
             return self._spinc
+        pots = self._potentials
         by_key = {}  # SpinC key -> members, in order of first appearance
-        for i, pot in enumerate(self._potentials):
+        for i, pot in enumerate(pots):
             by_key.setdefault(pot.spinc, []).append(i)
         classes = tuple(tuple(m) for m in by_key.values())
-        class_of = [None] * len(self._gens)
-        for k, members in enumerate(classes):
-            for i in members:
-                class_of[i] = k
-
-        pots = self._potentials
-        chern = tuple(  # each periodic domain read from g to g
-            tuple(_quarter(2 * sum(map(mul, bc, pot.index)))
-                  for bc in self._periodic)
-            for pot in pots
-        )
-        for members in classes:
-            first = chern[members[0]]
-            if any(chern[i] != first for i in members):
-                raise DomainError("Chern split a class")
 
         npt = self.dg.num_pointed
-        divs, gradings, levels = [], [], []
-        slot = [None] * len(self._gens)
-        for members in classes:
+        cherns, divs, levels = [], [], []
+        class_of, level, slot = ([None] * len(pots) for _ in range(3))
+        for k, members in enumerate(classes):
+            # each periodic domain read from each member to itself
+            chern = {tuple(_quarter(2 * sum(map(mul, bc, pots[i].index)))
+                           for bc in self._periodic) for i in members}
+            if len(chern) > 1:
+                raise DomainError("Chern split a class")
+            cherns.append(chern.pop())
             qa, ua = pots[members[0]].chain, pots[members[0]].index
             d = 0
             for q in self._full_kernel:
                 d = gcd(d, _quarter(2 * sum(map(mul, q, ua)))
                         - 2 * sum(q[-npt:]))
             divs.append(d)
-            gr = {}
             for i in members:
+                class_of[i] = k
                 dom = list(map(sub, pots[i].chain, qa))  # anchor -> i
                 mu = _quarter(sum(map(mul, dom, ua))
                               + sum(map(mul, dom, pots[i].index)))
-                val = -(mu - 2 * sum(dom[-npt:]))  # gr(anchor) - gr(i)
-                gr[i] = _level(val, d)
-            gradings.append(gr)
-            hi, lo = (d, 0) if d else (max(gr.values()) + 1, min(gr.values()))
+                # gr(anchor) - gr(i)
+                level[i] = _level(2 * sum(dom[-npt:]) - mu, d)
+            gr = [level[i] for i in members]
+            hi, lo = (d, 0) if d else (max(gr) + 1, min(gr))
             at = {g: [] for g in reversed(range(lo, hi))}
             for i in members:
-                slot[i] = len(at[gr[i]])
-                at[gr[i]].append(i)
+                slot[i] = len(at[level[i]])
+                at[level[i]].append(i)
             levels.append({g: tuple(m) for g, m in at.items()})
 
         self._spinc = SpinCTable(
             classes=classes,
             class_of=tuple(class_of),
-            chern=chern,
+            chern=tuple(cherns),
             div=tuple(divs),
-            gradings=tuple(gradings),
+            level=tuple(level),
             levels=tuple(levels),
             slot=tuple(slot),
         )
@@ -502,7 +492,7 @@ class DomainCalculator:
         if class_index in self._index1:
             return self._index1[class_index]
         members = table.classes[class_index]
-        gr = table.gradings[class_index]
+        level = table.level
         at_level = table.levels[class_index]
         nice = self.dg.nice
         gens = self._gens
@@ -510,7 +500,7 @@ class DomainCalculator:
         out = {}
         for i in members:
             px = pots[i]
-            for j in at_level.get(table.step(class_index, gr[i], -1), ()):
+            for j in at_level.get(table.step(class_index, level[i], -1), ()):
                 py = pots[j]
                 # point k lies on alpha curve k: count the points that move
                 if (i == j or px.pointed != py.pointed
@@ -531,7 +521,7 @@ class DomainCalculator:
                     doms.append(dom)
                     jps.append(jp)
                 if doms:
-                    out[(i, j)] = DiffEntry(i, j, tuple(doms), jps.count(0),
+                    out[(i, j)] = DiffEntry(tuple(doms), jps.count(0),
                                             jps.count(2))
         self._index1[class_index] = out
         return out

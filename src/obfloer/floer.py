@@ -318,19 +318,19 @@ class NiceComplex:
         if ci != self.table.class_of[j]:
             raise FloerError(
                 "generators %d and %d lie in different classes" % (i, j))
-        gr = self.table.gradings[ci]
+        gr = self.table.level
         if gr[i] != self.table.step(ci, gr[j], 1):
             raise FloerError(
                 "generators %d -> %d are not one grading apart" % (i, j))
         e = self.calc.index1_differentials(ci).get((i, j))
-        return e if e is not None else DiffEntry(i, j, (), 0, 0)
+        return e if e is not None else DiffEntry((), 0, 0)
 
     # -- boundary maps ------------------------------------------------------
 
     def build_boundary(self, class_index):
         if class_index in self._split:
             return self._split[class_index]
-        gr = self.table.gradings[class_index]
+        gr = self.table.level
         levels = self.table.levels[class_index]
         slot = self.table.slot
         # column slot[i] of a level's maps has bit slot[j] set for each
@@ -401,7 +401,7 @@ class NiceComplex:
         t = self.table
         xi = self.diagram.contact_generator().index
         ci = t.class_of[xi]
-        lv0 = t.gradings[ci][xi]
+        lv0 = t.level[xi]
         lv1 = t.step(ci, lv0, 1)
         sd = self.build_boundary(ci)
         c0, pos = t.levels[ci][lv0], t.slot[xi]
@@ -417,7 +417,7 @@ class NiceComplex:
         x = 1 << pos
         contact = "zero" if maps[0].solve(x) is not None else "nonzero"
         return CanonicalPiece(c0, t.levels[ci].get(lv1, ()), x, maps,
-                              t.div[ci], t.chern[xi], contact)
+                              t.div[ci], t.chern[ci], contact)
 
     def check_contact_class(self):
         return self._canonical.contact
@@ -471,7 +471,7 @@ def plot_complex(source, class_index, name=None):
         lines.append("}")
         return "\n".join(lines) + "\n"
     members = table.classes[class_index]
-    gr = table.gradings[class_index]
+    gr = table.level
     dv = table.div[class_index]
     for i in members:
         tag = " mod %d" % dv if dv else ""
@@ -480,7 +480,7 @@ def plot_complex(source, class_index, name=None):
         source.build_boundary(class_index)  # checks the boundary identities
     for (i, j), e in sorted(calc.index1_differentials(class_index).items()):
         if nice:
-            if e.parity == 0:
+            if e.count % 2 == 0:
                 continue
             if e.j0 % 2:
                 lines.append('  x%d -> x%d [label="J+=0"];' % (i, j))

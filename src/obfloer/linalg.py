@@ -450,8 +450,6 @@ class PolytopeScan:
     def __init__(self, basis, ncoeffs):
         nvars = len(basis)
         rows = [tuple(b[k] for b in basis) for k in range(ncoeffs)]
-        # rows with a = 0: each constant alone must be >= 0
-        fixed = [k for k, a in enumerate(rows) if not any(a)]
         # steps[s]: (forms of each group, forms of rows with a = 0) from the
         # constants of level nvars - s + 1 (the input at s = 0) to those of
         # level nvars - s, whose rows involve t_0 .. t_{nvars-s-1}
@@ -459,7 +457,7 @@ class PolytopeScan:
         # bounds[l]: the rows of level l + 1 that bound t_l, as lists of
         # (|a_l|, coefficients of t_0 .. t_{l-1}, group): lower, upper
         bounds = [None] * nvars
-        cands = [(tuple(a), (1, k, 0, 0)) for k, a in enumerate(rows) if any(a)]
+        cands = [(a, (1, k, 0, 0)) for k, a in enumerate(rows)]
         for level in range(nvars, -1, -1):
             groups, zero = _collapse(cands)
             steps.append(([forms for _, forms in groups], zero))
@@ -479,7 +477,7 @@ class PolytopeScan:
                     cands.append((comb, (q, gp, p, gn)))
             bounds[level - 1] = (lows, highs)
         space = {"UnboundedPolytopeError": UnboundedPolytopeError}
-        exec(_scan_source(fixed, steps, bounds, rows), space)
+        exec(_scan_source(steps, bounds, rows), space)
         self._kernel = space["scan"]
 
     def points(self, consts):
@@ -492,7 +490,7 @@ class PolytopeScan:
 _LOOPS_PER_FUNCTION = 16
 
 
-def _scan_source(fixed, steps, bounds, rows):
+def _scan_source(steps, bounds, rows):
     """Source of scan(c), the kernel PolytopeScan compiles.
 
     Only ints formatted with %d enter the text.  c[k] is the k-th input
@@ -525,9 +523,6 @@ def _scan_source(fixed, steps, bounds, rows):
         return terms[0] if len(terms) == 1 else "%s(%s)" % (fn, ", ".join(terms))
 
     head = ["def scan(c):"]
-    if fixed:
-        head.append("    if %s: return []"
-                    % " or ".join("c[%d] < 0" % k for k in fixed))
     for s, (forms, zero) in enumerate(steps):
         level = nvars - s
         if zero:

@@ -40,7 +40,7 @@ def _runs(metric, base, change):
 
 def _lines(metric, spec, base, change):
     lines = summarize(metric, spec, _runs(metric, base, change))
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert lines[1] == "    base   " + " ".join("%.4f" % v for v in base)
     assert lines[2] == "    change " + " ".join("%.4f" % v for v in change)
     return lines
@@ -164,6 +164,26 @@ def test_ratios_split_by_which_side_ran_first():
     assert lines[5] == ("    change/base, base first: 1.5000 "
                         "(median 1.5000, range 1.5000-1.5000)")
     assert lines[6] == "    change/base, change first: (no pairs)"
+
+
+def test_raw_reading_counts_its_own_pairs():
+    # host-pace scaling can flip the sign of a small move: here the change
+    # loses every pair scaled and wins every pair raw, and the gain rule
+    # stays on the scaled reading
+    metric = "requests_per_s"
+    runs = [(({metric: 30.0}, {metric: 60.0}, 0),
+             ({metric: 29.0}, {metric: 61.0}, 0))] * 10
+    lines = summarize(metric, RPS, runs)
+    assert "change better in 0 of 10 pairs" in lines[3]
+    assert lines[4].startswith("    gain rule not met: better in 0 of 10")
+    assert lines[7] == ("    raw reading: change better in 10 of 10 pairs "
+                        "(the gain rule reads the scaled one)")
+    # lower is better on the raw reading too, and a tie counts for neither
+    runs = [(({"latency_p50_s": 1.0}, {"latency_p50_s": 2.0}, 0),
+             ({"latency_p50_s": 1.1}, {"latency_p50_s": h}, 0))
+            for h in (1.9, 2.0, 2.1, 1.8)]
+    assert summarize("latency_p50_s", P50, runs)[7].startswith(
+        "    raw reading: change better in 2 of 4 pairs")
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

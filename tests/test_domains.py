@@ -16,9 +16,11 @@ from obfloer.cli import main
 from obfloer.diagram import build_diagram, make_region_list
 from obfloer.domains import (
     AdmissibilityError,
+    DiffEntry,
     Domain,
     DomainCalculator,
     DomainError,
+    SpinCTable,
 )
 from obfloer.linalg import IntSolver
 from obfloer.nicefy import make_nice
@@ -413,51 +415,47 @@ def test_spinc_r22_frozen(calc_r22):
     assert xi == 0
     assert t.class_of[xi] == 0
     # contact class Chern numbers vanish: torsion class
-    assert t.chern[xi] == (0, 0)
-    assert t.gradings[0] == {
+    assert t.chern[t.class_of[xi]] == (0, 0)
+    assert {i: t.level[i] for i in t.classes[0]} == {
         0: 0, 7: 1, 16: 0, 24: 1, 32: 2, 36: 1,
         54: 2, 62: 1, 74: 1, 95: 2, 111: 1, 116: 2,
     }
-    assert t.gradings[1] == {1: 0, 26: 1, 75: 1, 78: 0, 94: 0, 110: 1}
+    assert {i: t.level[i] for i in t.classes[1]} == {
+        1: 0, 26: 1, 75: 1, 78: 0, 94: 0, 110: 1}
 
 
 def test_spinc_r6_frozen(calc_r6):
     t = calc_r6.spinc_partition()
     assert t.classes == ((0, 7, 8), (1, 2, 4, 9, 10), (3, 5, 11), (6,))
     assert t.div == (0, 0, 0, 0)
-    assert t.gradings == (
-        {0: 0, 7: 1, 8: 1},
-        {1: 0, 2: 0, 4: 1, 9: 1, 10: 1},
-        {3: 0, 5: 1, 11: 1},
-        {6: 0},
-    )
+    assert t.level == (0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1)
 
 
 def test_spinc_small_fixtures(calc_ot, calc_l21, calc_sphere4):
     t = calc_ot.spinc_partition()
     assert t.classes == ((0, 1, 2),)
     assert t.div == (0,)
-    assert t.gradings == ({0: 0, 1: 1, 2: 1},)
+    assert t.level == (0, 1, 1)
 
     t = calc_l21.spinc_partition()
     assert t.classes == ((0,), (1,))
-    assert t.gradings == ({0: 0}, {1: 0})
+    assert t.level == (0, 0)
 
     t = calc_sphere4.spinc_partition()
     assert t.classes == ((0, 1),)
     assert t.div == (2,)
-    assert set(t.gradings[0].values()) == {0, 1}
+    assert set(t.level) == {0, 1}
 
 
 def check_level_layout(table):
     """SpinCTable.levels and .slot against their definition, from the
-    classes and gradings alone; returns how many classes are graded mod
+    classes and each generator's level alone; returns how many classes are graded mod
     div.  Each member sits once, at its grading, ascending within its
     level and at its slot; levels run top first, one step down each, and
     every step from a level lands on a level, bar the two ends of a
     ZZ-graded class's span."""
     for k, members in enumerate(table.classes):
-        gr, d, lv = table.gradings[k], table.div[k], table.levels[k]
+        gr, d, lv = table.level, table.div[k], table.levels[k]
         placed = [i for m in lv.values() for i in m]
         assert sorted(placed) == list(members), k
         for g, m in lv.items():
@@ -470,8 +468,8 @@ def check_level_layout(table):
         if d:
             assert sorted(keys) == list(range(d)), k
         else:
-            assert (keys[0], keys[-1]) == (max(gr.values()),
-                                           min(gr.values())), k
+            assert (keys[0], keys[-1]) == (max(gr[i] for i in members),
+                                           min(gr[i] for i in members)), k
         for g in keys:
             for n in (1, -1):
                 s = table.step(k, g, n)
@@ -514,9 +512,24 @@ def test_level_layout_check_rejects_descending_members():
 
 
 def test_chern_constant_on_classes(calc_r22):
+    # every generator's own Chern numbers are its class's
     t = calc_r22.spinc_partition()
-    for members in t.classes:
-        assert len({t.chern[i] for i in members}) == 1
+    basis = calc_r22.periodic_domain_basis()
+    for g, k in enumerate(t.class_of):
+        assert tuple(calc_r22.maslov_index(Domain(P, g, g))
+                     for P in basis) == t.chern[k]
+
+
+def test_table_keeps_each_fact_at_its_grain(calc_r22):
+    # Chern numbers and div per class; level, class and column per
+    # generator; an index-1 entry sits under its pair and does not repeat it
+    t = calc_r22.spinc_partition()
+    n = len(calc_r22.dg.generators())
+    assert "gradings" not in SpinCTable._fields
+    assert len(t.chern) == len(t.div) == len(t.levels) == len(t.classes)
+    assert len(t.level) == len(t.class_of) == len(t.slot) == n
+    assert DiffEntry._fields == ("domains", "j0", "j2")
+    assert not hasattr(DiffEntry, "parity")
 
 
 def _relabeled_r22_nice(seed):
@@ -546,10 +559,10 @@ def test_chern_numbers_read_the_unpointed_lattice_echelon():
     one = [v[:nu] for v in calc._system.kernel_basis()]
     t = calc.spinc_partition()
     moved = 0
-    for members in t.classes:
+    for k, members in enumerate(t.classes):
         g = members[0]
         chern = tuple(calc.maslov_index(Domain(tuple(P), g, g)) for P in own)
-        assert t.chern[g] == chern
+        assert t.chern[k] == chern
         moved += chern != tuple(calc.maslov_index(Domain(tuple(P), g, g))
                                 for P in one)
     assert moved > 0
@@ -567,7 +580,7 @@ def test_grading_formula_random_pairs(calc_r22):
         i, j = rng.choice(members), rng.choice(members)
         dom = calc_r22.full_connecting_domain(i, j)
         assert dom is not None
-        lhs = t.gradings[t.class_of[i]][i] - t.gradings[t.class_of[j]][j]
+        lhs = t.level[i] - t.level[j]
         rhs = calc_r22.maslov_index(dom) - 2 * sum(dom.coeffs[-npt:])
         div = t.div[t.class_of[i]]
         assert (lhs - rhs) % div == 0 if div else lhs == rhs
@@ -578,7 +591,8 @@ def test_periodic_jplus_vanishes_in_torsion_class(calc_r22):
     # all Chern numbers of the contact class vanish, so every hat-periodic
     # chain has zero euler weight and zero J+ read at the contact generator
     xi = calc_r22.dg.contact_generator().index
-    assert calc_r22.spinc_partition().chern[xi] == (0, 0)
+    t = calc_r22.spinc_partition()
+    assert t.chern[t.class_of[xi]] == (0, 0)
     basis = calc_r22.periodic_domain_basis()
     rng = random.Random(11)
     combos = [b for b in basis]
@@ -625,7 +639,7 @@ def test_index1_r22_frozen(calc_r22):
     for i, j in diffs:
         ci = t.class_of[i]
         assert ci == t.class_of[j]
-        drop = t.gradings[ci][i] - t.gradings[ci][j] - 1
+        drop = t.level[i] - t.level[j] - 1
         assert drop % t.div[ci] == 0 if t.div[ci] else drop == 0
 
 

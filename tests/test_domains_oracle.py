@@ -96,7 +96,8 @@ def oracle_grading(calc, members, conn):
     """The SpinCTable of these classes, each member i reached from its
     class's first member by the full chain conn[i], with every Chern
     number, divisor and grading summed point by point, and each level's
-    members found by sorting the class on its gradings."""
+    members found by sorting the class on its gradings.  Every member's
+    own Chern numbers are summed and must agree across its class."""
     dg = calc.dg
     full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
     gens = dg.generators()
@@ -105,30 +106,30 @@ def oracle_grading(calc, members, conn):
         for i in mem:
             class_of[i] = ci
     basis = calc.periodic_domain_basis()
-    chern = tuple(
-        tuple(oracle_maslov(calc, Domain(b, g.index, g.index)) for b in basis)
-        for g in gens
-    )
+    chern = []
+    for mem in members:
+        own = {tuple(oracle_maslov(calc, Domain(b, i, i)) for b in basis)
+               for i in mem}
+        assert len(own) == 1, mem
+        chern.append(own.pop())
     npt = dg.num_pointed
-    divs, gradings = [], []
+    divs, level = [], [None] * len(gens)
     for mem in members:
         d, a = 0, mem[0]
         for q in full.kernel_basis():
             d = gcd(d, oracle_maslov(calc, Domain(tuple(q), a, a))
                     - 2 * sum(q[-npt:]))
         divs.append(d)
-        gr = {}
         for i in mem:
             c = conn[i]
             mu = oracle_maslov(calc, Domain(tuple(c), a, i))
             val = -(mu - 2 * sum(c[-npt:]))
-            gr[i] = val % d if d else val
-        gradings.append(gr)
+            level[i] = val % d if d else val
     levels, slot = [], [None] * len(gens)
-    for mem, gr, d in zip(members, gradings, divs):
-        span = range(d) if d else range(min(gr.values()),
-                                         max(gr.values()) + 1)
-        levels.append({g: tuple(sorted(i for i in mem if gr[i] == g))
+    for mem, d in zip(members, divs):
+        gr = [level[i] for i in mem]
+        span = range(d) if d else range(min(gr), max(gr) + 1)
+        levels.append({g: tuple(sorted(i for i in mem if level[i] == g))
                        for g in sorted(span, reverse=True)})
         for m in levels[-1].values():
             for n, i in enumerate(m):
@@ -136,9 +137,9 @@ def oracle_grading(calc, members, conn):
     return SpinCTable(
         classes=tuple(tuple(m) for m in members),
         class_of=tuple(class_of),
-        chern=chern,
+        chern=tuple(chern),
         div=tuple(divs),
-        gradings=tuple(gradings),
+        level=tuple(level),
         levels=tuple(levels),
         slot=tuple(slot),
     )
@@ -261,7 +262,7 @@ class PairOracle:
 def _adjacent_pairs(table, classes=None):
     """Grading-adjacent pairs of every class, or of the given ones."""
     for ci in range(len(table.classes)) if classes is None else classes:
-        gr, d = table.gradings[ci], table.div[ci]
+        gr, d = table.level, table.div[ci]
         members = table.classes[ci]
         for i in members:
             for j in members:
@@ -315,8 +316,7 @@ def check_tables(calc, want=None):
     table = calc.spinc_partition()
     if want is None:
         want = oracle_spinc_partition(calc)
-    for field in ("classes", "class_of", "chern", "div", "gradings",
-                  "slot"):
+    for field in ("classes", "class_of", "chern", "div", "level", "slot"):
         assert getattr(table, field) == getattr(want, field), field
     assert ([list(lv.items()) for lv in table.levels]
             == [list(lv.items()) for lv in want.levels])

@@ -14,7 +14,12 @@ import pytest
 
 from obfloer import domains, floer
 from obfloer.diagram import ContactConventionError
-from obfloer.domains import AdmissibilityError, DomainCalculator, DomainError
+from obfloer.domains import (
+    AdmissibilityError,
+    DiffEntry,
+    DomainCalculator,
+    DomainError,
+)
 from obfloer.floer import (
     FloerError,
     NiceComplex,
@@ -160,7 +165,8 @@ def test_not_nice_refused(r6, s3_wiggle):
 
 def test_diff_entries_ot(nc_ot):
     e = nc_ot.find_diffs(1, 0)
-    assert (e.src, e.dst, e.count, e.j0, e.j2, e.parity) == (1, 0, 1, 1, 0, 1)
+    assert e == nc_ot.calc.index1_differentials(0)[(1, 0)]
+    assert (e.count, e.j0, e.j2, e.count % 2) == (1, 1, 0, 1)
     assert len(e.domains) == 1
     e = nc_ot.find_diffs(2, 0)
     assert (e.count, e.j0, e.j2) == (1, 1, 0)
@@ -170,9 +176,20 @@ def test_diff_entry_even_count_cancels(nc_twopoint):
     # the doubly-pointed sphere has two rectangles between its generators;
     # they cancel mod 2, leaving the differential zero
     e = nc_twopoint.find_diffs(0, 1)
-    assert (e.count, e.j0, e.j2, e.parity) == (2, 2, 0, 0)
+    assert (e.count, e.j0, e.j2, e.count % 2) == (2, 2, 0, 0)
     sd = nc_twopoint.build_boundary(0)
     assert sd.d_hat[0].cols == [0]
+
+
+def test_find_diffs_of_a_pair_with_no_domain_is_empty(nc_octa2):
+    # generators 2 and 5 of octa2's nice diagram are one grading step
+    # apart in one class, and no index-1 domain joins them
+    t = nc_octa2.table
+    assert t.class_of[2] == t.class_of[5] == 0
+    assert t.level[2] == t.step(0, t.level[5], 1)
+    assert (2, 5) not in nc_octa2.calc.index1_differentials(0)
+    e = nc_octa2.find_diffs(2, 5)
+    assert e == DiffEntry((), 0, 0) and e.count == 0
 
 
 def test_find_diffs_rejects_bad_pairs(nc_ot, nc_l21):
@@ -334,8 +351,8 @@ def test_cyclic_grading_class_s1s2(nc_s1s2):
     t = nc_s1s2.table
     assert t.classes == ((0, 1, 4, 5), (2, 3))
     assert t.div == (0, 2)
-    assert t.chern == ((0,), (0,), (-2,), (-2,), (0,), (0,))
-    assert t.gradings[1] == {2: 0, 3: 1}
+    assert t.chern == ((0,), (-2,))
+    assert (t.level[2], t.level[3]) == (0, 1)
     sd = nc_s1s2.build_boundary(1)
     assert tuple(t.levels[1]) == (1, 0)
     assert t.levels[1] == {1: (3,), 0: (2,)}

@@ -43,7 +43,7 @@ R6_ONE_PUSH = one_push_variants("r6")
 
 
 def _adjacent_pairs(table, k):
-    gr, d = table.gradings[k], table.div[k]
+    gr, d = table.level, table.div[k]
     for i in table.classes[k]:
         for j in table.classes[k]:
             drop = gr[i] - gr[j] - 1

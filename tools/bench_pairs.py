@@ -16,19 +16,23 @@ with T the benchmark's own ``run_seconds`` from BENCHMARK.json and
 perfbench's default seed, once in the base tree and once in the change
 tree, alternating which side runs first.  Each run's end-to-end metrics
 are read from its last stdout line (scaled to the reference host's pace)
-and from its report (raw wall-clock).  For every metric the summary
+and from its report (raw wall-clock), and printed both ways as it ends.
+For every metric the summary
 prints both sides' runs, their medians, the base's quartiles, and in how
 many pairs the working tree was better, in the direction BENCHMARK.json declares, with the relative move
 of the median against the metric's bound: WORSE THAN BOUND when the
 median moved past it in the worse direction, BEYOND BOUND when in the
 better one.  UNRESOLVED marks a metric whose base quartile spread is
 wider than the bound times the base median, unless every change run beats
-every base run.  A last line says whether the gain rule holds: the change
+every base run.  The next line says whether the gain rule holds: the change
 better in at least 9 of 10 pairs (ties count for neither side), and the
 median moved in the better direction by more than the base quartile
 spread.  Two more lines give the change/base ratio of each pair, split by
 which side ran first (the base in even pairs, the change in odd ones),
 with each group's median and range, so that an order effect shows.  The
+last line counts the pairs the change won on the raw reading: the
+host-pace scaling can flip the sign of a small move, so both counts are
+shown, and the gain rule reads only the scaled one.  The
 temporary trees are removed at the end.  Only the standard
 library is used, and nothing is written in the working tree.
 """
@@ -103,7 +107,11 @@ def summarize(metric, spec, runs):
     base = [b[0][metric] for b, _ in runs]
     head = [h[0][metric] for _, h in runs]
     higher = spec["better"] == "higher"
-    wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
+
+    def better(b, h):
+        return h > b if higher else h < b
+
+    wins = sum(map(better, base, head))
     mb, mh = statistics.median(base), statistics.median(head)
     q1, _, q3 = (statistics.quantiles(base, n=4) if len(base) > 1
                  else (base[0],) * 3)
@@ -117,8 +125,9 @@ def summarize(metric, spec, runs):
     need = -(-9 * len(runs) // 10)
     step = (mh - mb) if higher else (mb - mh)
     holds = wins >= need and step > q3 - q1
-    raw_b = statistics.median(b[1].get(metric, float("nan")) for b, _ in runs)
-    raw_h = statistics.median(h[1].get(metric, float("nan")) for _, h in runs)
+    raw_base = [b[1].get(metric, float("nan")) for b, _ in runs]
+    raw_head = [h[1].get(metric, float("nan")) for _, h in runs]
+    raw_b, raw_h = statistics.median(raw_base), statistics.median(raw_head)
     # main runs the base first in even pairs and the change first in odd ones
     ratios = [h / b if b else float("nan") for b, h in zip(base, head)]
     split = []
@@ -140,7 +149,11 @@ def summarize(metric, spec, runs):
         "%.4f in the better direction (need more than %.4f)" % (
             "holds" if holds else "not met", wins, len(runs), need, step,
             q3 - q1),
-    ] + split
+    ] + split + [
+        "    raw reading: change better in %d of %d pairs (the gain rule "
+        "reads the scaled one)" % (sum(map(better, raw_base, raw_head)),
+                                   len(runs)),
+    ]
 
 
 def main(argv=None):
@@ -169,10 +182,13 @@ def main(argv=None):
                 got = {}
                 for side in order:
                     got[side] = run_once(sides[side], workload, seconds)
+                    scaled, raw, failed = got[side]
                     print("%s pair %d %s: %s failed=%d" % (
                         workload, i, side, " ".join(
-                            "%s=%.4f" % kv for kv in got[side][0].items()),
-                        got[side][2]), flush=True)
+                            "%s=%.4f (raw %.4f)" % (
+                                k, v, raw.get(k, float("nan")))
+                            for k, v in scaled.items()),
+                        failed), flush=True)
                 runs.append((got["base"], got["change"]))
             print("%s: %d pairs of %g s runs, base %s" % (
                 workload, ns.pairs, seconds, ns.base))
