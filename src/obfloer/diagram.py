@@ -254,9 +254,11 @@ class HeegaardDiagram:
                                   circuit with 2 or 4 corners (a bigon or
                                   square)
       euler_measures_2          : per region
-      point_measures_4          : [region][point], corner occurrences of
-                                  the point in the region (one quadrant each)
-      boundary_mat              : [point][region], built from beta arcs
+      point_corners             : per point, (region, corner occurrences)
+                                  pairs in region order (one quadrant each)
+      boundary_columns          : per region, the nonzero (point, entry)
+                                  pairs of its beta-arc boundary, in point
+                                  order
     """
 
     def __init__(self, region_list):
@@ -267,23 +269,35 @@ class HeegaardDiagram:
         self.num_regions = len(rl.regions)
         self.num_unpointed = self.num_regions - rl.num_pointed
 
-        corners = Counter(
-            c for reg in rl.regions for cir in reg for c in cir
-        )
-        self.num_points = len(corners)
-        bad = [p for p in range(self.num_points) if corners[p] != 4]
+        # incidence in one pass over the corners, sparse: O(corners)
+        corners_at, columns = {}, []  # point -> {region: occurrences}
+        alpha_dir, beta_dir = Counter(), Counter()
+        for r, reg in enumerate(rl.regions):
+            col = {}
+            for cir in reg:
+                for c in cir:
+                    at = corners_at.setdefault(c, {})
+                    at[r] = at.get(r, 0) + 1
+                alpha_dir.update(circuit_alpha_arcs(cir))
+                betas = circuit_beta_arcs(cir)
+                beta_dir.update(betas)
+                for a, b in betas:
+                    col[b] = col.get(b, 0) + 1
+                    col[a] = col.get(a, 0) - 1
+            columns.append(tuple(sorted((p, e) for p, e in col.items() if e)))
+        self.num_points = len(corners_at)
+        degree = [sum(corners_at.get(p, {}).values())
+                  for p in range(self.num_points)]
+        bad = [p for p in range(self.num_points) if degree[p] != 4]
         if bad:
             raise PointDegreeError(
                 "points %r occur %r times as corners, want 4"
-                % (bad, [corners[p] for p in bad])
+                % (bad, [degree[p] for p in bad])
             )
+        self.point_corners = tuple(tuple(corners_at[p].items())
+                                   for p in range(self.num_points))
+        self.boundary_columns = tuple(columns)
 
-        alpha_dir = Counter()
-        beta_dir = Counter()
-        for reg in rl.regions:
-            for cir in reg:
-                alpha_dir.update(circuit_alpha_arcs(cir))
-                beta_dir.update(circuit_beta_arcs(cir))
         for directed, kind in ((alpha_dir, "alpha"), (beta_dir, "beta")):
             for (a, b), cnt in directed.items():
                 if directed.get((b, a), 0) != cnt:
@@ -319,17 +333,6 @@ class HeegaardDiagram:
         self.beta_of = tuple(self.beta_of)
 
         self.euler_measures_2 = tuple(euler_measure_2(reg) for reg in rl.regions)
-        pm4 = [[0] * self.num_points for _ in range(self.num_regions)]
-        bmat = [[0] * self.num_regions for _ in range(self.num_points)]
-        for r, reg in enumerate(rl.regions):
-            for cir in reg:
-                for c in cir:
-                    pm4[r][c] += 1
-                for a, b in circuit_beta_arcs(cir):
-                    bmat[b][r] += 1
-                    bmat[a][r] -= 1
-        self.point_measures_4 = tuple(tuple(row) for row in pm4)
-        self.boundary_mat = tuple(tuple(row) for row in bmat)
 
         # mass formula: sum of doubled Euler measures = 2*chi(surface);
         # chi must be even (closed oriented surface)

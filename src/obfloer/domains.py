@@ -1,21 +1,22 @@
 """Domains between Heegaard Floer generators.
 
 A domain is an integer chain of regions running from one generator to
-another: if c is the coefficient vector, then
-boundary_mat . c = indicator(from) - indicator(to) as 0-chains of points
-(equivalently, the alpha-arc boundary matrix applied to c gives to - from;
-the two matrices are negatives of each other).  This orientation is the one
-under which the contact generator supports no outgoing positive domain and
-the two-corner pinning at contact points caps positive-domain counts by
-2^(moving contact points picked up by the target).
+another: if c is the coefficient vector, its beta-arc boundary (read off
+the diagram's sparse boundary_columns) is indicator(from) - indicator(to)
+as a 0-chain of points, and its alpha-arc boundary is the negative.  This
+orientation is the one under which the contact generator supports no
+outgoing positive domain and the two-corner pinning at contact points
+caps positive-domain counts by 2^(moving contact points picked up by the
+target).
 Chains of unpointed regions ("hat" domains) are the ones the hat theory
 counts; chains over all regions ("full" domains) decide when two
 generators sit in the same SpinC class and carry the relative grading.
 Both are a Domain, told apart by the length of their coefficients, and
 every method names generators by their index.
 
-The calculator's one integer system, echelonized once, holds the rows of
-boundary_mat, then one row per pointed region reading its coefficient.
+The calculator's one integer system, echelonized once, holds the boundary
+rows (points x regions, built densely from boundary_columns for the two
+echelons alone), then one row per pointed region reading its coefficient.
 One reduction per generator (IntSolver.reduce, which builds the chain as
 it reduces) gives a canonical residue, whose whole is the generator's hat
 key and whose boundary part is its SpinC key, and a potential chain,
@@ -30,10 +31,11 @@ positive-domain scan is compiled from it.
 
 The Maslov index mu(D) = n_x(D) + n_y(D) + e(D) (Lipshitz, Geom. Topol.
 10, 2006) is linear in D, so the same pass gives each generator g one
-index vector u_g: its corner weights (the point measures at its points,
-times 4) plus euler_measures_2.  Then 4 mu(D: x -> y) = D . u_x + D . u_y,
-a Chern number is P . u_g / 2, and an index is one pass over the
-regions; every numerator is checked to be divisible by 4.
+index vector u_g: its corner weights (the diagram's point_corners at its
+points: 4 times the point measures) plus euler_measures_2.  Then
+4 mu(D: x -> y) = D . u_x + D . u_y, a Chern number is P . u_g / 2, and
+an index is one pass over the regions; every numerator is checked to be
+divisible by 4.
 
 The calculator exposes:
 
@@ -206,11 +208,14 @@ class DomainCalculator:
         self.num_regions = diagram.num_regions
         self.num_unpointed = diagram.num_unpointed
         self._em2 = diagram.euler_measures_2
-        bm = diagram.boundary_mat
-        # boundary rows, then one row reading each pointed region's coefficient
-        self._system = IntSolver(
-            list(bm) + [[int(r == p) for r in range(self.num_regions)]
-                        for p in range(self.num_unpointed, self.num_regions)],
+        # dense boundary rows, built for the two echelons alone
+        bm = [[0] * self.num_regions for _ in range(diagram.num_points)]
+        for r, col in enumerate(diagram.boundary_columns):
+            for p, e in col:
+                bm[p][r] = e
+        self._system = IntSolver(  # plus one row reading each pointed region
+            bm + [[int(r == p) for r in range(self.num_regions)]
+                  for p in range(self.num_unpointed, self.num_regions)],
             ncols=self.num_regions)
         # U's columns past the boundary pivots span the full periodic lattice
         nb = sum(row < diagram.num_points for row, _ in self._system.pivots)
@@ -218,15 +223,6 @@ class DomainCalculator:
         # its own echelon: this basis names the Chern numbers homology prints
         self._periodic = tuple(tuple(v) for v in IntSolver(
             bm, ncols=self.num_unpointed).kernel_basis())
-        self._region_cols = [  # nonzero (point, entry) pairs of each column
-            [(p, row[r]) for p, row in enumerate(bm) if row[r]]
-            for r in range(self.num_regions)
-        ]
-        self._point_corners = [  # nonzero (region, point measure) at each point
-            [(r, row[p]) for r, row in enumerate(diagram.point_measures_4)
-             if row[p]]
-            for p in range(diagram.num_points)
-        ]
         self._gens = diagram.generators()
         self._spinc = None
         self._index1 = {}  # class index -> its index-1 table
@@ -234,9 +230,9 @@ class DomainCalculator:
     # -- basic plumbing ----------------------------------------------------
 
     def _boundary(self, coeffs):
-        """boundary_mat . coeffs, a 0-chain of points."""
+        """The beta-arc boundary of coeffs, a 0-chain of points."""
         got = [0] * self.dg.num_points
-        for cr, col in zip(coeffs, self._region_cols):
+        for cr, col in zip(coeffs, self.dg.boundary_columns):
             if cr:
                 for p, e in col:
                     got[p] += cr * e
@@ -272,8 +268,8 @@ class DomainCalculator:
 
     def check_weak_admissibility(self):
         """True iff no nonzero combination of periodic domains is >= 0: the
-        positive-domain scan from the zero domain returns the zero domain
-        alone and is bounded (linalg.cone_is_trivial on the basis's rows)."""
+        compiled positive-domain scan (PolytopeScan) from the zero domain
+        is bounded and returns the zero domain alone."""
         zero = (0,) * self.num_unpointed
         try:
             return self._polytope.points(zero) == [zero]
@@ -292,12 +288,13 @@ class DomainCalculator:
         (indicator(x) - indicator(y), 0), so one exists iff res_x == res_y,
         and Q_y - Q_x is one.  The echelon picks each row's column
         operations from that row alone, top down, so res_g[:num_points] is
-        the residue modulo boundary_mat alone, which decides full domains
-        the same way.  Each Q_g is checked once; a difference of two then
+        the residue modulo the boundary rows alone, which decides full
+        domains the same way.  Each Q_g is checked once; a difference of two then
         has the right boundary by linearity.  The index vector u_g starts
         from euler_measures_2 and adds the corners at g's points.
         """
         npts, nu = self.dg.num_points, self.num_unpointed
+        corners = self.dg.point_corners
         pointed_zero = [0] * self.dg.num_pointed
         pots = []
         for g in self._gens:
@@ -305,7 +302,7 @@ class DomainCalculator:
             u = list(self._em2)
             for p in g.points:
                 rhs[p] -= 1
-                for r, v in self._point_corners[p]:
+                for r, v in corners[p]:
                     u[r] += v
             chain, res = self._system.reduce(rhs + pointed_zero)
             spinc, pointed = tuple(res[:npts]), tuple(res[npts:])
@@ -407,7 +404,7 @@ class DomainCalculator:
         s = sum(
             1
             for p in set(xg.points) & set(yg.points)
-            if not any(r < len(c) and c[r] for r, _ in self._point_corners[p])
+            if not any(r < len(c) and c[r] for r, _ in self.dg.point_corners[p])
         )
         # maslov_index is n_x + n_y + e, and em2 counts 2e
         chi = (self.dg.num_curves - s + self._em2_total(c)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -127,12 +128,32 @@ def box_scan(calc, x, y):
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def dense_incidence(dg):
+    """(pm4, rows) of a diagram, dense, built from its regions' corners and
+    beta arcs alone: pm4[r][p] counts the corners of point p in region r
+    (4 times its point measure), and rows[p][r] is p's coefficient in the
+    beta-arc boundary of region r.  The tests' oracle for the diagram's
+    sparse point_corners and boundary_columns, which it does not read."""
+    pm4 = [[0] * dg.num_points for _ in range(dg.num_regions)]
+    rows = [[0] * dg.num_regions for _ in range(dg.num_points)]
+    for r, reg in enumerate(dg.regions):
+        for cir in reg:
+            for i, c in enumerate(cir):
+                pm4[r][c] += 1
+                if i % 2:  # beta arc c -> next corner
+                    rows[cir[(i + 1) % len(cir)]][r] += 1
+                    rows[c][r] -= 1
+    return (tuple(tuple(row) for row in pm4),
+            tuple(tuple(row) for row in rows))
+
+
 def pm4_sum(calc, coeffs, points):
-    """Sum of coeffs[r] * point_measures_4[r][p] over regions r and the
-    given points p: the O(regions x points) form of the point-measure part
-    of a Maslov index, kept as the oracle for the per-generator corner
-    weights DomainCalculator reads it from."""
-    pm4 = calc.dg.point_measures_4
+    """Sum of coeffs[r] * pm4[r][p] over regions r and the given points p:
+    the O(regions x points) form of the point-measure part of a Maslov
+    index, kept as the oracle for the per-generator corner weights
+    DomainCalculator reads it from."""
+    pm4 = dense_incidence(calc.dg)[0]
     return sum(cr * pm4[r][p] for r, cr in enumerate(coeffs) if cr
                for p in points)
 

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 
@@ -25,10 +26,12 @@ from obfloer.nicefy import make_nice
 from conftest import (
     FIXTURES,
     corner_occurrences,
+    dense_incidence,
     load_diagram,
     load_region_list,
     pushed_variant,
 )
+from test_known_answers import lens_region_list
 
 # every fixture (no push) and seeded finger-moved variants of those that
 # admit a push
@@ -191,19 +194,22 @@ def test_euler_measure_2_values():
 
 @pytest.mark.parametrize("name,pushes,seed", MEASURED)
 def test_point_measures_4_match_corner_occurrences(name, pushes, seed):
+    # point_corners: per point, (region, corner occurrences) in region order
     d = build_diagram(pushed_variant(name, pushes, seed))
-    want = [[0] * d.num_points for _ in range(d.num_regions)]
+    want = []
     for p in range(d.num_points):
+        at = {}
         for r, _, _ in corner_occurrences(d, p):
-            want[r][p] += 1
-    assert [list(row) for row in d.point_measures_4] == want
+            at[r] = at.get(r, 0) + 1
+        want.append(tuple(sorted(at.items())))
+    assert d.point_corners == tuple(want)
 
 
 def test_point_measures_4_values(r22):
     # r22's regions 0 = [1,0,19,20,13,14] and 11 = [13,12,23,22,11,12,21,22]
-    assert r22.point_measures_4[0][19] == 1
-    assert r22.point_measures_4[11][12] == 2
-    assert r22.point_measures_4[11][5] == 0
+    assert dict(r22.point_corners[19])[0] == 1
+    assert dict(r22.point_corners[12])[11] == 2
+    assert 11 not in dict(r22.point_corners[5])
 
 
 @pytest.mark.parametrize("name,pushes,seed", MEASURED)
@@ -221,9 +227,49 @@ def test_boundary_identities(name, pushes, seed):
                 for a, b in arcs:
                     mat[b][r] += 1
                     mat[a][r] -= 1
-    assert [list(row) for row in d.boundary_mat] == bmat
+    assert d.boundary_columns == tuple(
+        tuple((p, row[r]) for p, row in enumerate(bmat) if row[r])
+        for r in range(d.num_regions))
     assert amat == [[-v for v in row] for row in bmat]
     assert all(sum(col) == 0 for col in zip(*bmat))
+
+
+def _sparse(pm4, rows):
+    """The sparse forms of dense (pm4, rows): per point its nonzero
+    (region, pm4) pairs, per region its nonzero (point, row entry) pairs."""
+    return (tuple(tuple((r, v[p]) for r, v in enumerate(pm4) if v[p])
+                  for p in range(len(rows))),
+            tuple(tuple((p, v[r]) for p, v in enumerate(rows) if v[r])
+                  for r in range(len(pm4))))
+
+
+# make_nice refuses s1s2's seeded 2-push variant (ROADMAP item 5)
+NICE_OF = [m for m in MEASURED if m != ("s1s2", 2, 2)]
+
+
+@pytest.mark.parametrize("name,pushes,seed,nice", [
+    m + (False,) for m in MEASURED] + [m + (True,) for m in NICE_OF])
+def test_sparse_incidence_matches_dense_oracle(name, pushes, seed, nice):
+    d = build_diagram(pushed_variant(name, pushes, seed))
+    if nice:
+        d = make_nice(d).diagram
+        assert d.nice
+    assert (d.point_corners, d.boundary_columns) == _sparse(
+        *dense_incidence(d))
+
+
+def test_build_memory_is_linear_in_corners():
+    # L(2000, 1): 2,000 points and 2,000 regions, 8,000 corners.  A dense
+    # points x regions table alone holds 4 M entries (about 130 MB traced)
+    rl = lens_region_list(2000, 1)
+    tracemalloc.start()
+    try:
+        d = build_diagram(rl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.num_points == d.num_regions == 2000
+    assert peak < 16 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +374,14 @@ def test_r22_structure(r22):
 
 def test_r22_boundary_column(r22):
     # region [2,1,14,15]: beta arcs (1->14) and (15->2)
-    col = [r22.boundary_mat[p][1] for p in range(r22.num_points)]
     want = [0] * 26
     want[14] += 1
     want[1] -= 1
     want[2] += 1
     want[15] -= 1
-    assert col == want
+    assert r22.num_points == 26
+    assert r22.boundary_columns[1] == tuple(
+        (p, e) for p, e in enumerate(want) if e)
 
 
 def test_r6_structure(r6):
@@ -360,13 +407,13 @@ def test_small_fixture_structure(s3_tight, s3_overtwisted, l21, sphere4):
 
     assert s3_overtwisted.alpha_curves == ((0, 1, 2),)
     assert len(s3_overtwisted.generators()) == 3
-    assert [s3_overtwisted.boundary_mat[p][2] for p in range(3)] == [2, -1, -1]
+    assert s3_overtwisted.boundary_columns[2] == ((0, 2), (1, -1), (2, -1))
     assert _b1(s3_overtwisted) == 0
     assert sum(s3_overtwisted.euler_measures_2) == 0
 
     assert len(l21.generators()) == 2
     assert _b1(l21) == 0
-    assert [l21.boundary_mat[p][0] for p in range(2)] == [-2, 2]
+    assert l21.boundary_columns[0] == ((0, -2), (1, 2))
 
     assert sphere4.num_curves == 1
     assert len(sphere4.generators()) == 2
@@ -501,7 +548,8 @@ def test_roundtrip_determinism(name):
     assert d2.beta_curves == d1.beta_curves
     assert d2.contact_points == d1.contact_points
     assert d2.euler_measures_2 == d1.euler_measures_2
-    assert d2.boundary_mat == d1.boundary_mat
+    assert d2.point_corners == d1.point_corners
+    assert d2.boundary_columns == d1.boundary_columns
     assert [g.points for g in d2.generators()] == [g.points for g in d1.generators()]
 
 

@@ -53,6 +53,7 @@ from conftest import (
     FIXTURES,
     check_potential_differences,
     corner_occurrences,
+    dense_incidence,
     load_diagram,
     load_region_list,
     one_push_variants,
@@ -76,7 +77,7 @@ def oracle_spinc_partition(calc):
     """Anchor loop: each generator solved against every anchor in turn;
     then graded by oracle_grading."""
     dg = calc.dg
-    full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
+    full = IntSolver(dense_incidence(dg)[1], ncols=dg.num_regions)
     gens = dg.generators()
     members, conn = [], {}
     for g in gens:
@@ -99,7 +100,7 @@ def oracle_grading(calc, members, conn):
     members found by sorting the class on its gradings.  Every member's
     own Chern numbers are summed and must agree across its class."""
     dg = calc.dg
-    full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
+    full = IntSolver(dense_incidence(dg)[1], ncols=dg.num_regions)
     gens = dg.generators()
     class_of = [None] * len(gens)
     for ci, mem in enumerate(members):
@@ -157,7 +158,7 @@ def oracle_generator_keys(calc):
     """
     dg = calc.dg
     nu = dg.num_unpointed
-    full = IntSolver(dg.boundary_mat, ncols=dg.num_regions)
+    full = IntSolver(dense_incidence(dg)[1], ncols=dg.num_regions)
     kern = full.kernel_basis()
     pointed = IntSolver([[k[nu + p] for k in kern]
                          for p in range(dg.num_pointed)], ncols=len(kern))
@@ -229,7 +230,7 @@ class PairOracle:
     def __init__(self, calc):
         self.calc = calc
         dg = calc.dg
-        self.hat = IntSolver(dg.boundary_mat, ncols=dg.num_unpointed)
+        self.hat = IntSolver(dense_incidence(dg)[1], ncols=dg.num_unpointed)
         self.basis = calc.periodic_domain_basis()
 
     def connecting(self, xg, yg):
@@ -457,9 +458,9 @@ def oracle_domain_type(calc, dom, jp):
     xg, yg = dg.generators()[dom.src], dg.generators()[dom.dst]
     if not any(c):
         return (jp, 0, 0, 0)
+    pm4 = dense_incidence(dg)[0]
     s = sum(1 for p in set(xg.points) & set(yg.points)
-            if all(dg.point_measures_4[r][p] == 0
-                   for r, cr in enumerate(c) if cr))
+            if all(pm4[r][p] == 0 for r, cr in enumerate(c) if cr))
     num = (4 * (dg.num_curves - s) + 2 * calc._em2_total(c)
            - pm4_sum(calc, c, xg.points + yg.points))
     assert num % 4 == 0
@@ -474,7 +475,7 @@ def check_maslov_oracle(calc):
     numbers), full ones from each class's anchor (divisibility); returns
     how many domains were compared."""
     gens = calc.dg.generators()
-    full = IntSolver(calc.dg.boundary_mat, ncols=calc.dg.num_regions)
+    full = IntSolver(dense_incidence(calc.dg)[1], ncols=calc.dg.num_regions)
     doms = [Domain(q, g.index, g.index)
             for g in gens for q in calc.periodic_domain_basis()]
     doms += [Domain(tuple(q), members[0], members[0])
