@@ -81,9 +81,10 @@ def _normalize_region(raw, idx):
     else:
         circuits = [raw]
     out = []
-    for cir in circuits:
+    for k, cir in enumerate(circuits):
         if not isinstance(cir, (list, tuple)) or len(cir) == 0:
-            raise RegionListError("region %d has an empty circuit" % idx)
+            raise RegionListError("region %d circuit %d is not a nonempty "
+                                  "list of point labels" % (idx, k))
         if len(cir) % 2:
             raise RegionListError(
                 "region %d has an odd-length circuit %r" % (idx, list(cir))

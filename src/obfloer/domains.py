@@ -15,8 +15,8 @@ Both are a Domain, told apart by the length of their coefficients, and
 every method names generators by their index.
 
 The calculator's one integer system, echelonized once, holds the boundary
-rows (points x regions, built densely from boundary_columns for the two
-echelons alone), then one row per pointed region reading its coefficient.
+rows (the diagram's sparse boundary_columns, as they are), then one row
+per pointed region reading its coefficient.
 One reduction per generator (IntSolver.reduce, which builds the chain as
 it reduces) gives a canonical residue, whose whole is the generator's hat
 key and whose boundary part is its SpinC key, and a potential chain,
@@ -208,21 +208,18 @@ class DomainCalculator:
         self.num_regions = diagram.num_regions
         self.num_unpointed = diagram.num_unpointed
         self._em2 = diagram.euler_measures_2
-        # dense boundary rows, built for the two echelons alone
-        bm = [[0] * self.num_regions for _ in range(diagram.num_points)]
-        for r, col in enumerate(diagram.boundary_columns):
-            for p, e in col:
-                bm[p][r] = e
+        npts, nu, nr = diagram.num_points, self.num_unpointed, self.num_regions
+        cols = diagram.boundary_columns
         self._system = IntSolver(  # plus one row reading each pointed region
-            bm + [[int(r == p) for r in range(self.num_regions)]
-                  for p in range(self.num_unpointed, self.num_regions)],
-            ncols=self.num_regions)
+            cols[:nu] + tuple(col + ((npts + k, 1),)
+                              for k, col in enumerate(cols[nu:])))
         # U's columns past the boundary pivots span the full periodic lattice
-        nb = sum(row < diagram.num_points for row, _ in self._system.pivots)
-        self._full_kernel = [tuple(u) for u in self._system.ucols[nb:]]
+        nb = sum(row < npts for row, _ in self._system.pivots)
+        self._full_kernel = [tuple(u.get(r, 0) for r in range(nr))
+                             for u in self._system.ucols[nb:]]
         # its own echelon: this basis names the Chern numbers homology prints
-        self._periodic = tuple(tuple(v) for v in IntSolver(
-            bm, ncols=self.num_unpointed).kernel_basis())
+        self._periodic = tuple(
+            tuple(v) for v in IntSolver(cols[:nu]).kernel_basis())
         self._gens = diagram.generators()
         self._spinc = None
         self._index1 = {}  # class index -> its index-1 table

@@ -2,7 +2,7 @@
 
 Three independent toolboxes, all exact (no floating point anywhere):
 
-  * integer matrices as lists of rows: one solution of M x = b over ZZ,
+  * integer matrices by sparse columns: one solution of M x = b over ZZ,
     and a basis of the full integer kernel lattice, via unimodular column
     reduction (column-style Hermite sweep);
   * GF(2) maps with bit-packed vectors (bit i of an int = coordinate i):
@@ -20,68 +20,70 @@ from math import gcd
 
 
 # ---------------------------------------------------------------------------
-# integer matrices (lists of rows of python ints)
+# integer matrices (sparse columns: each the nonzero (row, value) pairs)
 
 
-def _column_echelon(mat, ncols=None):
+def _sub_multiple(col, q, other):
+    """col -= q * other, in place, keeping only nonzero entries."""
+    for i, v in other.items():
+        col[i] = col.get(i, 0) - q * v
+        if not col[i]:
+            del col[i]
+
+
+def _column_echelon(cols):
     """Column echelon form by unimodular column operations.
 
     Returns (hcols, ucols, pivots) with H = M U: hcols[j] / ucols[j] are the
-    columns of H / U, and pivots is a list of (row, col) pairs with strictly
-    increasing rows and cols = 0, 1, ... Pivot entries are positive, pivot
-    columns vanish above their pivot row, and every column right of the last
-    pivot is identically zero.
+    columns of H / U as dicts row -> nonzero entry, and pivots is a list of
+    (row, col) pairs with strictly increasing rows and cols = 0, 1, ...
+    Pivot entries are positive, pivot columns vanish above their pivot row,
+    and every column right of the last pivot is identically zero.  Only
+    rows that occur in some column of M are visited: a column operation
+    never puts an entry in a row where no column has one.
     """
-    nrows = len(mat)
-    if ncols is None:
-        ncols = len(mat[0]) if nrows else 0
-    cols = [[mat[i][j] for i in range(nrows)] for j in range(ncols)]
-    ucols = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    hcols = [dict(c) for c in cols]
+    ncols = len(hcols)
+    ucols = [{j: 1} for j in range(ncols)]
     pivots = []
     nfree = 0  # columns < nfree are frozen pivot columns
-    for row in range(nrows):
+    for row in sorted({i for c in hcols for i in c}):
         if nfree == ncols:
             break
         while True:
-            live = [j for j in range(nfree, ncols) if cols[j][row] != 0]
+            live = [j for j in range(nfree, ncols) if row in hcols[j]]
             if not live:
                 break
             if len(live) == 1:
                 j = live[0]
-                cols[nfree], cols[j] = cols[j], cols[nfree]
+                hcols[nfree], hcols[j] = hcols[j], hcols[nfree]
                 ucols[nfree], ucols[j] = ucols[j], ucols[nfree]
-                if cols[nfree][row] < 0:
-                    cols[nfree] = [-v for v in cols[nfree]]
-                    ucols[nfree] = [-v for v in ucols[nfree]]
+                if hcols[nfree][row] < 0:
+                    hcols[nfree] = {i: -v for i, v in hcols[nfree].items()}
+                    ucols[nfree] = {i: -v for i, v in ucols[nfree].items()}
                 pivots.append((row, nfree))
                 nfree += 1
                 break
-            jmin = min(live, key=lambda j: abs(cols[j][row]))
-            p = cols[jmin][row]
+            jmin = min(live, key=lambda j: abs(hcols[j][row]))
+            p = hcols[jmin][row]
             for j in live:
-                if j == jmin:
-                    continue
-                q = cols[j][row] // p
-                if q:
-                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[jmin])]
-                    ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[jmin])]
-    return cols, ucols, pivots
+                q = hcols[j][row] // p
+                if j != jmin and q:
+                    _sub_multiple(hcols[j], q, hcols[jmin])
+                    _sub_multiple(ucols[j], q, ucols[jmin])
+    return hcols, ucols, pivots
 
 
 class IntSolver:
-    """Prepared solver for M x = b over ZZ: echelonize once, solve many b."""
+    """Prepared solver for M x = b over ZZ, M given by its columns (each
+    its nonzero (row, value) pairs): echelonize once, solve many b."""
 
-    def __init__(self, mat, ncols=None):
-        self.hcols, self.ucols, self.pivots = _column_echelon(mat, ncols)
+    def __init__(self, cols):
+        self.hcols, self.ucols, self.pivots = _column_echelon(cols)
         self.ncols = len(self.ucols)
-        # per pivot: its row and entry, and the nonzero entries of its
-        # columns of H and U
-        self._piv = [
-            (row, self.hcols[col][row],
-             [(i, v) for i, v in enumerate(self.hcols[col]) if v],
-             [(i, v) for i, v in enumerate(self.ucols[col]) if v])
-            for row, col in self.pivots
-        ]
+        # per pivot: its row and entry, and its columns of H and U
+        self._piv = [(row, self.hcols[c][row], tuple(self.hcols[c].items()),
+                      tuple(self.ucols[c].items())) for row, c in self.pivots]
 
     def reduce(self, b):
         """(x, r) with b = M x + r and r the canonical residue of b modulo
@@ -115,8 +117,8 @@ class IntSolver:
         they span the whole kernel lattice, not a finite-index sublattice.
         """
         out = []
-        for j in range(len(self.pivots), self.ncols):
-            v = self.ucols[j]
+        for u in self.ucols[len(self.pivots):]:
+            v = [u.get(i, 0) for i in range(self.ncols)]
             lead = next((x for x in v if x != 0), 0)
             if lead < 0:
                 v = [-x for x in v]

@@ -128,6 +128,85 @@ def box_scan(calc, x, y):
     return out
 
 
+def columns(rows, ncols=None):
+    """The matrix with these dense rows as IntSolver takes it: per column,
+    its nonzero (row, value) pairs.  ncols is needed only when rows is
+    empty."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return [[(i, row[j]) for i, row in enumerate(rows) if row[j]]
+            for j in range(ncols)]
+
+
+def dense_column_echelon(mat, ncols=None):
+    """Column echelon form by unimodular column operations.
+
+    Returns (hcols, ucols, pivots) with H = M U: hcols[j] / ucols[j] are the
+    columns of H / U, and pivots is a list of (row, col) pairs with strictly
+    increasing rows and cols = 0, 1, ... Pivot entries are positive, pivot
+    columns vanish above their pivot row, and every column right of the last
+    pivot is identically zero.
+
+    The dense form of linalg._column_echelon (rows of a dense matrix, a
+    dense identity for U), kept as the reference for its sparse columns.
+    """
+    nrows = len(mat)
+    if ncols is None:
+        ncols = len(mat[0]) if nrows else 0
+    cols = [[mat[i][j] for i in range(nrows)] for j in range(ncols)]
+    ucols = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    pivots = []
+    nfree = 0  # columns < nfree are frozen pivot columns
+    for row in range(nrows):
+        if nfree == ncols:
+            break
+        while True:
+            live = [j for j in range(nfree, ncols) if cols[j][row] != 0]
+            if not live:
+                break
+            if len(live) == 1:
+                j = live[0]
+                cols[nfree], cols[j] = cols[j], cols[nfree]
+                ucols[nfree], ucols[j] = ucols[j], ucols[nfree]
+                if cols[nfree][row] < 0:
+                    cols[nfree] = [-v for v in cols[nfree]]
+                    ucols[nfree] = [-v for v in ucols[nfree]]
+                pivots.append((row, nfree))
+                nfree += 1
+                break
+            jmin = min(live, key=lambda j: abs(cols[j][row]))
+            p = cols[jmin][row]
+            for j in live:
+                if j == jmin:
+                    continue
+                q = cols[j][row] // p
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[jmin])]
+                    ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[jmin])]
+    return cols, ucols, pivots
+
+
+def check_echelon_against_dense(mat, ncols, solver, b):
+    """solver (an IntSolver of mat's columns) has the dense reference's H,
+    U and pivots, with no zero entry kept; its kernel basis and its
+    reduction of b are the ones the dense columns give."""
+    nrows = len(mat)
+    hd, ud, pd = dense_column_echelon(mat, ncols)
+    assert solver.pivots == pd
+    assert [[h.get(i, 0) for i in range(nrows)] for h in solver.hcols] == hd
+    assert [[u.get(i, 0) for i in range(ncols)] for u in solver.ucols] == ud
+    assert all(all(c.values()) for c in solver.hcols + solver.ucols)
+    kernel = sorted([-x for x in u] if next(x for x in u if x) < 0 else u
+                    for u in ud[len(pd):])
+    assert solver.kernel_basis() == kernel
+    x, r = [0] * ncols, list(b)
+    for row, col in pd:
+        q = r[row] // hd[col][row]
+        r = [v - q * h for v, h in zip(r, hd[col])]
+        x = [v + q * u for v, u in zip(x, ud[col])]
+    assert solver.reduce(b) == (x, r)
+
+
 @functools.lru_cache(maxsize=32)
 def dense_incidence(dg):
     """(pm4, rows) of a diagram, dense, built from its regions' corners and

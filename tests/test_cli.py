@@ -168,6 +168,19 @@ def test_regions_not_a_list_is_bad_input(tmp_path, capsys):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("circuit", ["2", "[]"], ids=["int", "empty"])
+def test_circuit_that_is_not_a_nonempty_list_is_bad_input(tmp_path, capsys,
+                                                          circuit):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"num_pointed": 1, "regions": [[[0, 1], %s]]}' % circuit)
+    dest = tmp_path / "out"
+    rc, out, err = run(capsys, "analyze", "--input", bad, "--out-dir", dest)
+    assert (rc, out) == (2, "")
+    assert err == ("error: region 0 circuit 1 is not a nonempty list of "
+                   "point labels\n")
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("text,msg", [
     ('{"regions": [[0, 1], [1, 0]]}',
      'input object lacks a "num_pointed" field'),

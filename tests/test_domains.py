@@ -7,6 +7,7 @@ positive-domain scans via a plain box enumeration).
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -28,6 +29,7 @@ from obfloer.nicefy import make_nice
 from conftest import (
     FIXTURES,
     box_scan,
+    columns,
     dense_incidence,
     load_diagram,
     load_region_list,
@@ -35,6 +37,7 @@ from conftest import (
     pushed_variant,
     run_cli_optimized,
 )
+from test_known_answers import lens_region_list
 
 
 @pytest.fixture(scope="module")
@@ -196,9 +199,9 @@ def test_echelon_forms_per_request(tmp_path, monkeypatch):
     calls = []
     echelon = linalg._column_echelon
 
-    def counted(mat, ncols=None):
-        calls.append(ncols)
-        return echelon(mat, ncols)
+    def counted(cols):
+        calls.append(len(cols))
+        return echelon(cols)
 
     monkeypatch.setattr(linalg, "_column_echelon", counted)
     make_nice(load_diagram("r6"))
@@ -207,6 +210,21 @@ def test_echelon_forms_per_request(tmp_path, monkeypatch):
                "--out-dir", str(tmp_path), "--format", "json"])
     assert rc == 0
     assert len(calls) == 2
+
+
+def test_calculator_memory_does_not_scale_with_points_times_regions():
+    # L(800, 1): 800 points and 800 regions.  Dense points x regions rows
+    # for the two echelons, and a dense regions x regions U, peaked at
+    # about 27 MB traced; the sparse columns stay near 2 MB
+    rl = lens_region_list(800, 1)
+    tracemalloc.start()
+    try:
+        calc = DomainCalculator(build_diagram(rl))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(calc.periodic_domain_basis()) == 0
+    assert peak < 8 * 2**20, peak
 
 
 # -- positive-domain scans ---------------------------------------------------
@@ -554,7 +572,7 @@ def test_chern_numbers_read_the_unpointed_lattice_echelon():
     assert dg.nice and dg.contact_aligned
     calc = DomainCalculator(dg)
     nu = dg.num_unpointed
-    own = IntSolver(dense_incidence(dg)[1], ncols=nu).kernel_basis()
+    own = IntSolver(columns(dense_incidence(dg)[1])[:nu]).kernel_basis()
     one = [v[:nu] for v in calc._system.kernel_basis()]
     t = calc.spinc_partition()
     moved = 0

@@ -27,8 +27,14 @@ linalg.cone_is_trivial on the same rows.
 Maslov indices, J+ and domain shapes read the point measures through
 per-generator index vectors; the oracle is the sum over regions and
 both generators' points (conftest.pm4_sum).
+
+The calculator's two integer echelons run on sparse columns; the oracle
+is the dense echelon they replaced (conftest.dense_column_echelon) on
+dense rows built from the regions alone, which must give the same H, U,
+pivots, kernel basis and reductions.
 """
 
+import random
 from math import gcd
 
 import pytest
@@ -51,7 +57,9 @@ from obfloer.nicefy import make_nice
 
 from conftest import (
     FIXTURES,
+    check_echelon_against_dense,
     check_potential_differences,
+    columns,
     corner_occurrences,
     dense_incidence,
     load_diagram,
@@ -77,7 +85,7 @@ def oracle_spinc_partition(calc):
     """Anchor loop: each generator solved against every anchor in turn;
     then graded by oracle_grading."""
     dg = calc.dg
-    full = IntSolver(dense_incidence(dg)[1], ncols=dg.num_regions)
+    full = IntSolver(columns(dense_incidence(dg)[1]))
     gens = dg.generators()
     members, conn = [], {}
     for g in gens:
@@ -100,7 +108,7 @@ def oracle_grading(calc, members, conn):
     members found by sorting the class on its gradings.  Every member's
     own Chern numbers are summed and must agree across its class."""
     dg = calc.dg
-    full = IntSolver(dense_incidence(dg)[1], ncols=dg.num_regions)
+    full = IntSolver(columns(dense_incidence(dg)[1]))
     gens = dg.generators()
     class_of = [None] * len(gens)
     for ci, mem in enumerate(members):
@@ -158,10 +166,10 @@ def oracle_generator_keys(calc):
     """
     dg = calc.dg
     nu = dg.num_unpointed
-    full = IntSolver(dense_incidence(dg)[1], ncols=dg.num_regions)
+    full = IntSolver(columns(dense_incidence(dg)[1]))
     kern = full.kernel_basis()
-    pointed = IntSolver([[k[nu + p] for k in kern]
-                         for p in range(dg.num_pointed)], ncols=len(kern))
+    pointed = IntSolver(columns([[k[nu + p] for k in kern]
+                                 for p in range(dg.num_pointed)]))
     keys = []
     for g in dg.generators():
         rhs = [0] * dg.num_points
@@ -230,7 +238,8 @@ class PairOracle:
     def __init__(self, calc):
         self.calc = calc
         dg = calc.dg
-        self.hat = IntSolver(dense_incidence(dg)[1], ncols=dg.num_unpointed)
+        self.hat = IntSolver(
+            columns(dense_incidence(dg)[1])[:dg.num_unpointed])
         self.basis = calc.periodic_domain_basis()
 
     def connecting(self, xg, yg):
@@ -475,7 +484,7 @@ def check_maslov_oracle(calc):
     numbers), full ones from each class's anchor (divisibility); returns
     how many domains were compared."""
     gens = calc.dg.generators()
-    full = IntSolver(dense_incidence(calc.dg)[1], ncols=calc.dg.num_regions)
+    full = IntSolver(columns(dense_incidence(calc.dg)[1]))
     doms = [Domain(q, g.index, g.index)
             for g in gens for q in calc.periodic_domain_basis()]
     doms += [Domain(tuple(q), members[0], members[0])
@@ -511,3 +520,47 @@ def test_maslov_index_matches_point_sums(name):
 
 def test_maslov_index_matches_point_sums_on_nice_r22(nice_r22_calc):
     assert check_maslov_oracle(nice_r22_calc) > 10000
+
+
+# -- the calculator's two echelons against the dense reference --------------
+
+
+ECHELON_INPUTS = ([(name, 0, 0, False) for name in FIXTURE_NAMES]
+                  + [(name, pushes, seed, False) for name in ("r6", "r22")
+                     for pushes in (1, 2, 3) for seed in (1, 2, 3)]
+                  + [("r6", 0, 0, True), ("r22", 0, 0, True)])
+
+
+@pytest.mark.parametrize(
+    "name,pushes,seed,nice", ECHELON_INPUTS,
+    ids=["%s-%d-%d%s" % (n, p, s, "-nice" * k)
+         for n, p, s, k in ECHELON_INPUTS])
+def test_calculator_echelons_match_the_dense_reference(monkeypatch, name,
+                                                       pushes, seed, nice):
+    # the system (boundary rows, then one row per pointed region) and the
+    # boundary rows on the unpointed regions, each as dense rows built
+    # from the regions alone, echelon to the dense reference's H, U and
+    # pivots
+    dg = build_diagram(pushed_variant(name, pushes, seed) if pushes
+                       else load_region_list(name))
+    if nice:
+        dg = make_nice(dg).diagram
+    solvers, init = [], IntSolver.__init__
+
+    def recorded(self, cols):
+        init(self, cols)
+        solvers.append((self, [list(c) for c in cols]))
+
+    monkeypatch.setattr(IntSolver, "__init__", recorded)
+    calc = DomainCalculator(dg)
+    nu, nr = dg.num_unpointed, dg.num_regions
+    rows = [list(row) for row in dense_incidence(dg)[1]]
+    system = rows + [[int(r == p) for r in range(nr)] for p in range(nu, nr)]
+    unpointed = [row[:nu] for row in rows]
+    rng = random.Random("%s/%d/%d" % (name, pushes, seed))
+    assert [s for s, _ in solvers] == [calc._system, solvers[1][0]]
+    for (solver, cols), mat, n in ((solvers[0], system, nr),
+                                   (solvers[1], unpointed, nu)):
+        assert cols == columns(mat, n)
+        b = [rng.randint(-3, 3) for _ in mat]
+        check_echelon_against_dense(mat, n, solver, b)
