@@ -99,12 +99,11 @@ class _Out:
         self.root = Path(root)
         self.files = []
 
+    def __contains__(self, fname):
+        return self.root / fname in self.files
+
     def write(self, fname, text):
         p = self.root / fname
-        if p in self.files:
-            # `all` on a nice input reaches its per-class differentials and
-            # plots from analyze and from homology, through one engine
-            return p
         # directory is created lazily so a failed run leaves nothing behind
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -148,12 +147,15 @@ def _diff_lines(diffs):
 
 
 def _emit_dots(eng, ks, out):
-    # nice diagrams always plot through the counting engine
+    # nice diagrams always plot through the counting engine; `all` on a nice
+    # input reaches each plot from analyze and homology, and renders it once
     src = eng.complex if eng.dg.nice else eng.calc
     base = _safe_name(eng.name)
     for k in ks:
-        out.write(base + "_spinc_%d.dot" % k,
-                  plot_complex(src, k, name="%s_spinc_%d" % (eng.name, k)))
+        fname = "%s_spinc_%d.dot" % (base, k)
+        if fname not in out:
+            out.write(fname, plot_complex(src, k, name="%s_spinc_%d"
+                                          % (eng.name, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +165,7 @@ def _emit_dots(eng, ks, out):
 def cmd_analyze(cfg, eng, out):
     dg, calc = eng.dg, eng.calc
     table = calc.spinc_partition()
+    _classes(cfg, table)  # a bad --spinc is refused before any table
     diffs = calc.index1_differentials()
     doc = {
         "name": dg.name,
@@ -178,14 +181,11 @@ def cmd_analyze(cfg, eng, out):
         "candidate_pairs": len(diffs),
     }
     base = _safe_name(dg.name)
-    all_lines = _diff_lines(diffs)
-    if cfg.spinc is not None:
-        k, = _classes(cfg, table)
-        sub_lines = _diff_lines(calc.index1_differentials(k))
     out.write(base + "_analysis.json", _dumps(doc))
-    out.write(base + "_possible_differentials.txt", all_lines)
+    out.write(base + "_possible_differentials.txt", _diff_lines(diffs))
     if cfg.spinc is not None:
-        out.write(base + "_differentials_in_spinc_%d.txt" % k, sub_lines)
+        out.write(base + "_differentials_in_spinc_%d.txt" % cfg.spinc,
+                  _diff_lines(calc.index1_differentials(cfg.spinc)))
     if cfg.dot:
         _emit_dots(eng, range(len(table.classes)), out)
     return doc
@@ -242,9 +242,12 @@ def cmd_homology(cfg, eng, out):
     out.write(base + "_homology.json", _dumps(doc))
     if cfg.spinc is not None:
         # named from the engine stem: under `all` on a raw diagram, analyze
-        # has already written the raw diagram's class under the plain name
-        out.write(_safe_name(eng.name) + "_differentials_in_spinc_%d.txt"
-                  % ks[0], _diff_lines(nc.calc.index1_differentials(ks[0])))
+        # has written the raw diagram's class under the plain name, and on
+        # a nice input it has written this very file
+        fname = "%s_differentials_in_spinc_%d.txt" % (_safe_name(eng.name),
+                                                     ks[0])
+        if fname not in out:
+            out.write(fname, _diff_lines(nc.calc.index1_differentials(ks[0])))
     if cfg.dot:
         _emit_dots(eng, ks, out)
     return doc

@@ -18,13 +18,15 @@ The calculator's one integer system, echelonized once, holds the boundary
 rows (the diagram's sparse boundary_columns, as they are), then one row
 per pointed region reading its coefficient.
 One reduction per generator (IntSolver.reduce, which builds the chain as
-it reduces) gives a canonical residue, whose whole is the generator's hat
-key and whose boundary part is its SpinC key, and a potential chain,
-whose unpointed part is its hat chain.  Two generators are joined by a
-hat (full) domain iff their hat (SpinC) keys agree, and the difference of
-their (hat) chains is then one.  No solve and no boundary check runs per
-pair: each potential is checked once, and a difference of two checked
-potentials has the right boundary by linearity.  A second echelon, of
+it reduces) gives a canonical residue and a potential chain.  The
+generator keeps the class index of the residue's boundary part (its SpinC
+key), the residue's pointed part (minus the chain's) and the chain's
+unpointed part, its hat chain.  Two generators are joined by a full (hat)
+domain iff their class indices (and pointed residues) agree; the
+difference of their hat chains, then of their pointed residues reversed,
+is then one.  No solve and no boundary check runs per pair: each
+potential is checked once, and a difference of two checked potentials
+has the right boundary by linearity.  A second echelon, of
 the boundary rows on the unpointed regions alone, names the periodic
 basis: the Chern numbers homology prints are read against it, and the
 positive-domain scan is compiled from it.
@@ -60,7 +62,7 @@ The calculator exposes:
     boundary circles read off the two generators' permutations; all
     read the two generators' index vectors;
   * spinc_partition / index1_differentials: SpinC classes (generators
-    grouped by SpinC key) with Chern numbers and divisibility per class,
+    grouped by class index) with Chern numbers and divisibility per class,
     a relative grading (level) per generator, and the candidate
     differentials (positive index-1 domains between grading-adjacent
     generators, one DiffEntry per pair), built one class at a time:
@@ -126,16 +128,22 @@ class DiffEntry(NamedTuple):
 
 
 class _Potential(NamedTuple):
-    """A generator's SpinC key, pointed residue, potential over all regions
-    and over the unpointed ones (its hat chain), index vector and
-    permutation cycle count."""
+    """A generator's SpinC class index, pointed residue, potential over the
+    unpointed regions (its hat chain), index vector and permutation cycle
+    count.  The potential's pointed part is minus the pointed residue, so
+    it is not stored again."""
 
-    spinc: tuple
+    spinc_class: int
     pointed: tuple
-    chain: list
     hat: tuple
     index: list
     cycles: int
+
+
+def _full_chain(px, py):
+    """The chain over all regions from potential px to py: the hat
+    difference, then the pointed part, minus the pointed residues'."""
+    return [*map(sub, py.hat, px.hat), *map(sub, px.pointed, py.pointed)]
 
 
 def _quarter(num):
@@ -286,13 +294,16 @@ class DomainCalculator:
         and Q_y - Q_x is one.  The echelon picks each row's column
         operations from that row alone, top down, so res_g[:num_points] is
         the residue modulo the boundary rows alone, which decides full
-        domains the same way.  Each Q_g is checked once; a difference of two then
+        domains the same way; only this pass holds that key, and g keeps its
+        class index (numbered in order of first appearance) and Q_g's
+        unpointed part.  Each Q_g is checked once; a difference of two then
         has the right boundary by linearity.  The index vector u_g starts
         from euler_measures_2 and adds the corners at g's points.
         """
         npts, nu = self.dg.num_points, self.num_unpointed
         corners = self.dg.point_corners
         pointed_zero = [0] * self.dg.num_pointed
+        class_at = {}  # SpinC key -> class index
         pots = []
         for g in self._gens:
             rhs = [0] * npts
@@ -308,23 +319,23 @@ class DomainCalculator:
                 raise DomainError(
                     "potential of generator %s fails its boundary identity"
                     % (g,))
-            pots.append(_Potential(spinc, pointed, chain, tuple(chain[:nu]),
-                                   u, g.cycles()))
+            pots.append(_Potential(class_at.setdefault(spinc, len(class_at)),
+                                   pointed, tuple(chain[:nu]), u, g.cycles()))
         return pots
 
     def connecting_domain(self, x, y):
         """Some hat domain from x to y, or None when none exists."""
         px, py = self._potentials[x], self._potentials[y]
-        if px.spinc != py.spinc or px.pointed != py.pointed:
+        if px.spinc_class != py.spinc_class or px.pointed != py.pointed:
             return None
         return Domain(tuple(map(sub, py.hat, px.hat)), x, y)
 
     def full_connecting_domain(self, x, y):
         """Some chain over all regions from x to y, or None."""
         px, py = self._potentials[x], self._potentials[y]
-        if px.spinc != py.spinc:
+        if px.spinc_class != py.spinc_class:
             return None
-        return Domain(tuple(map(sub, py.chain, px.chain)), x, y)
+        return Domain(tuple(_full_chain(px, py)), x, y)
 
     def find_pos_domains(self, x, y):
         """Every nonnegative hat domain from x to y, sorted by coefficients.
@@ -419,14 +430,14 @@ class DomainCalculator:
         if self._spinc is not None:
             return self._spinc
         pots = self._potentials
-        by_key = {}  # SpinC key -> members, in order of first appearance
+        by_class = {}  # class index -> members; indices appear in order
         for i, pot in enumerate(pots):
-            by_key.setdefault(pot.spinc, []).append(i)
-        classes = tuple(tuple(m) for m in by_key.values())
+            by_class.setdefault(pot.spinc_class, []).append(i)
+        classes = tuple(tuple(m) for m in by_class.values())
 
         npt = self.dg.num_pointed
         cherns, divs, levels = [], [], []
-        class_of, level, slot = ([None] * len(pots) for _ in range(3))
+        level, slot = ([None] * len(pots) for _ in range(2))
         for k, members in enumerate(classes):
             # each periodic domain read from each member to itself
             chern = {tuple(_quarter(2 * sum(map(mul, bc, pots[i].index)))
@@ -434,16 +445,15 @@ class DomainCalculator:
             if len(chern) > 1:
                 raise DomainError("Chern split a class")
             cherns.append(chern.pop())
-            qa, ua = pots[members[0]].chain, pots[members[0]].index
+            pa = pots[members[0]]
             d = 0
             for q in self._full_kernel:
-                d = gcd(d, _quarter(2 * sum(map(mul, q, ua)))
+                d = gcd(d, _quarter(2 * sum(map(mul, q, pa.index)))
                         - 2 * sum(q[-npt:]))
             divs.append(d)
             for i in members:
-                class_of[i] = k
-                dom = list(map(sub, pots[i].chain, qa))  # anchor -> i
-                mu = _quarter(sum(map(mul, dom, ua))
+                dom = _full_chain(pa, pots[i])  # anchor -> i
+                mu = _quarter(sum(map(mul, dom, pa.index))
                               + sum(map(mul, dom, pots[i].index)))
                 # gr(anchor) - gr(i)
                 level[i] = _level(2 * sum(dom[-npt:]) - mu, d)
@@ -457,7 +467,7 @@ class DomainCalculator:
 
         self._spinc = SpinCTable(
             classes=classes,
-            class_of=tuple(class_of),
+            class_of=tuple(p.spinc_class for p in pots),
             chern=tuple(cherns),
             div=tuple(divs),
             level=tuple(level),

@@ -115,19 +115,6 @@ class OrderResult(NamedTuple):
 # GF(2) helpers
 
 
-def _compose(a, b):
-    """a after b."""
-    return F2Map([a.apply(c) for c in b.cols], a.nrows)
-
-
-def _is_zero(m):
-    return all(c == 0 for c in m.cols)
-
-
-def _same(a, b):
-    return a.nrows == b.nrows and a.cols == b.cols
-
-
 def _bits(v):
     out = []
     while v:
@@ -366,12 +353,12 @@ class NiceComplex:
             if t not in sd.d_hat:
                 continue
             for maps in (sd.d_hat, sd.d0, sd.d1):
-                if not _is_zero(_compose(maps[t], maps[s])):
+                if any(map(maps[t].apply, maps[s].cols)):
                     raise FloerError(
                         "boundary squared is nonzero in class %d between "
                         "levels %s and %s" % (sd.class_index, s, t))
-            if not _same(_compose(sd.d0[t], sd.d1[s]),
-                         _compose(sd.d1[t], sd.d0[s])):
+            if (list(map(sd.d0[t].apply, sd.d1[s].cols))
+                    != list(map(sd.d1[t].apply, sd.d0[s].cols))):
                 raise FloerError(
                     "J+ flavors fail to commute in class %d at level %s"
                     % (sd.class_index, s))

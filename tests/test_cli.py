@@ -13,7 +13,7 @@ import runpy
 
 import pytest
 
-from obfloer import domains, floer
+from obfloer import cli, domains, floer
 from obfloer.cli import main
 from obfloer.diagram import build_diagram, parse_region_list, region_list_to_json
 from obfloer.domains import DomainCalculator
@@ -233,6 +233,20 @@ def test_analyze_spinc_filter_and_range(tmp_path, capsys):
     rc, _, err = run(capsys, "analyze", "--input", fix("r6"),
                      "--out-dir", tmp_path, "--spinc", 99)
     assert rc == 2 and "out of range" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "all"])
+def test_spinc_out_of_range_is_refused_before_any_table(tmp_path, capsys,
+                                                        monkeypatch, command):
+    def refuse(self, class_index=None):
+        raise AssertionError("index-1 table built for class %s" % class_index)
+
+    monkeypatch.setattr(DomainCalculator, "index1_differentials", refuse)
+    rc, out, err = run(capsys, command, "--input", fix("r6"),
+                       "--out-dir", tmp_path / "out", "--spinc", 4)
+    assert (rc, out) == (2, "")
+    assert err == "error: spinc index 4 out of range (4 classes)\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "plot"])
@@ -668,6 +682,31 @@ def test_all_on_nice_input_writes_each_artifact_once(tmp_path, capsys):
                      "s3_overtwisted_spinc_0.dot"):
             assert ((tmp_path / "all" / name).read_bytes()
                     == (tmp_path / cmd / name).read_bytes())
+
+
+def test_all_on_nice_input_renders_each_artifact_once(tmp_path, capsys,
+                                                      monkeypatch):
+    # analyze and homology both reach each class's plot and differentials
+    # text; the second one finds the file written and renders nothing
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
+
+    monkeypatch.setattr(cli, "plot_complex", counted(cli.plot_complex))
+    monkeypatch.setattr(cli, "_diff_lines", counted(cli._diff_lines))
+    rc, out, _ = run(capsys, "all", "--input", fix("l31"), "--out-dir",
+                     tmp_path / "dot", "--dot")
+    assert rc == 0
+    assert calls.count("plot_complex") == 3  # one per class
+    assert out.count("_spinc_") == 3
+    calls.clear()
+    rc, out, _ = run(capsys, "all", "--input", fix("l31"), "--out-dir",
+                     tmp_path / "spinc", "--spinc", 2)
+    assert rc == 0
+    # analyze's whole table and its class 2
+    assert calls == ["_diff_lines", "_diff_lines"]
+    assert out.count("l31_differentials_in_spinc_2.txt") == 1
 
 
 def test_all_skips_makenice_when_nice(tmp_path, capsys):

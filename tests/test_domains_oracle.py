@@ -198,8 +198,8 @@ def check_keys_and_admissibility(calc):
     two-solver oracle does, and admissibility is cone_is_trivial's."""
     old = oracle_generator_keys(calc)
     pots = calc._potentials
-    assert _same_partition([r for r, _ in old], [p.spinc for p in pots])
-    assert _same_partition(old, [(p.spinc, p.pointed) for p in pots])
+    assert _same_partition([r for r, _ in old], [p.spinc_class for p in pots])
+    assert _same_partition(old, [(p.spinc_class, p.pointed) for p in pots])
     basis = calc.periodic_domain_basis()
     rows = [tuple(b[r] for b in basis) for r in range(calc.num_unpointed)]
     assert calc.check_weak_admissibility() == cone_is_trivial(

@@ -25,6 +25,7 @@ from obfloer.floer import (
     NiceComplex,
     NotNiceError,
     OrderResult,
+    SplitDifferential,
     check_zigzag,
     order_from_split,
     plot_complex,
@@ -241,6 +242,27 @@ def test_order_invariants_are_typed_errors(s3_overtwisted, monkeypatch):
     monkeypatch.setattr(F2Map, "rank", lambda self: -1)
     with pytest.raises(FloerError, match="reduced d1 must be injective"):
         reduce_by_K(F2Map([3, 0], 3), F2Map([4, 2], 3))
+
+
+def test_nonzero_boundary_squared_is_a_typed_error(nc_l31):
+    # l31's class 0 is graded by ZZ: level 0 maps to level -1
+    one, zero = F2Map([1], 1), F2Map([0], 1)
+    for flavor in range(3):
+        maps = [{0: zero, -1: zero} for _ in range(3)]
+        maps[flavor] = {0: one, -1: one}
+        with pytest.raises(FloerError, match="boundary squared is nonzero "
+                           "in class 0 between levels 0 and -1"):
+            nc_l31._assert_identities(SplitDifferential(0, *maps))
+
+
+def test_noncommuting_flavors_are_a_typed_error(nc_l31):
+    # each flavor squares to zero, but d0 d1 = 0 and d1 d0 = 1
+    one, zero = F2Map([1], 1), F2Map([0], 1)
+    sd = SplitDifferential(0, {0: zero, -1: zero}, {0: one, -1: zero},
+                           {0: zero, -1: one})
+    with pytest.raises(FloerError, match="J\\+ flavors fail to commute in "
+                       "class 0 at level 0"):
+        nc_l31._assert_identities(sd)
 
 
 def test_inadmissible_diagram_fails_at_boundary_build(sphere4):
